@@ -124,14 +124,6 @@ class BenchRun:
     faults: Union[None, str, FaultScheduler] = None
     max_task_attempts: int = 4
     speculation: bool = False
-    #: Executor backend for every engine context of the matrix
-    #: ("inprocess" or "parallel"; see :mod:`repro.spark.parallel`).
-    backend: str = "inprocess"
-    #: Worker-pool size under the parallel backend (None = default).
-    workers: Optional[int] = None
-    #: Opt-in closure verification at job submission on every engine
-    #: context (see :mod:`repro.analysis.closures`).
-    verify_closures: bool = False
     results: List[RunResult] = field(default_factory=list)
 
     def _fault_schedule(self) -> Optional[FaultScheduler]:
@@ -175,9 +167,6 @@ class BenchRun:
                 faults=self._fault_schedule(),
                 max_task_attempts=self.max_task_attempts,
                 speculation=self.speculation,
-                backend=self.backend,
-                workers=self.workers,
-                verify_closures=self.verify_closures,
             )
             kwargs = kwargs_by_name.get(engine_class.profile.name, {})
             engine = engine_class(ctx, **kwargs)

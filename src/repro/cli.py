@@ -36,16 +36,6 @@ Commands
     projections, unsatisfiable filters, and -- when statistics are
     supplied via ``--data`` or ``--stats`` -- unknown predicates,
     cost-over-deadline, and broadcast-threshold misuse.
-    ``lint --closures PATH...`` instead treats the positional arguments
-    as Python sources and runs the closure analyzer (same as
-    ``analyze``).
-``analyze PATH... [--json]``
-    Statically analyze Python sources for worker-boundary closure
-    violations (:mod:`repro.analysis.closures`, rules CL000..CL007):
-    driver-object capture, shared-state mutation inside worker code,
-    accumulator reads in transformations, broadcast mutation, unpickled
-    exception types, loop-variable capture, global writes, and calls
-    into guilty helpers.  Exit 0 clean / 4 warnings / 5 errors.
 ``views DATA {build,list,stats} [--view-threshold F] [--json FILE]``
     Materialize the ExtVP view catalog for an RDF file (S2RDF semi-join
     reduction tables, selected by selectivity threshold): print its
@@ -90,22 +80,12 @@ substitute materialized ExtVP views into the plans.  ``serve`` and
 ``loadtest`` run the same static linter at admission (disable with
 ``--no-lint``).
 
-``query``, ``assess``, ``serve`` and ``loadtest`` accept ``--backend
-{inprocess,parallel}`` and ``--workers N`` to pick the executor backend
-(docs/PARALLEL.md): ``parallel`` runs partition tasks on a forked worker
-pool while keeping every result byte-identical to the in-process
-oracle.  The same commands (plus ``explain``) accept
-``--verify-closures`` to analyze every closure in a job's lineage at
-submission time (rules CL000..CL007, docs/ANALYSIS.md); a violating
-closure aborts the run with exit code 4.
-
 Exit codes (the full table lives in README.md): 0 success / clean lint
 / conformant ``validate``; 1 failed ``assess``/``claims`` checks or a
 non-conformant ``validate``; 2 unusable inputs (bad ``--faults`` spec,
-unknown engine, unreadable data/query/stats/shapes file); 3 when a
-fault schedule exhausts ``--max-task-attempts``; 4 lint/``analyze``
-found warnings only, or ``--verify-closures`` rejected a submitted
-closure; 5 lint/``analyze`` found errors.
+unknown engine, malformed query, unreadable data/query/stats/shapes
+file); 3 when a fault schedule exhausts ``--max-task-attempts``; 4 lint
+found warnings only; 5 lint found errors.
 """
 
 from __future__ import annotations
@@ -115,7 +95,6 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.analysis.closures import ClosureAnalysisError
 from repro.bench import BenchRun, format_table
 from repro.core import (
     render_table_i,
@@ -135,7 +114,7 @@ from repro.runtime import (
 )
 from repro.shacl.shapes import ShaclError
 from repro.spark.faults import FaultSpecError, TaskFailedError
-from repro.spark.parallel import BackendConfigError
+from repro.sparql.parser import SparqlParseError
 from repro.sparql.results import SolutionSet
 from repro.systems import ALL_ENGINE_CLASSES, NaiveEngine
 
@@ -186,9 +165,6 @@ def cmd_query(args) -> int:
         faults=args.faults,
         max_task_attempts=args.max_task_attempts,
         speculation=args.speculation,
-        backend=args.backend,
-        workers=args.workers,
-        verify_closures=args.verify_closures,
     )
     engine = _engine_class(args.engine)(sc)
     engine.load(graph)
@@ -300,7 +276,6 @@ def cmd_explain(args) -> int:
             route=args.route,
             route_engines=args.route_engines or None,
             shapes=shapes,
-            verify_closures=args.verify_closures,
         )
     )
     return 0
@@ -440,9 +415,6 @@ def cmd_assess(args) -> int:
         faults=args.faults,
         max_task_attempts=args.max_task_attempts,
         speculation=args.speculation,
-        backend=args.backend,
-        workers=args.workers,
-        verify_closures=args.verify_closures,
     )
     results = bench.run(
         (NaiveEngine,) + ALL_ENGINE_CLASSES, queries, trace=bool(args.trace)
@@ -478,35 +450,10 @@ def cmd_assess(args) -> int:
     return 1 if bench.incorrect() else 0
 
 
-def cmd_analyze(args) -> int:
-    from repro.analysis.closures import check_paths
-
-    for path in args.paths:
-        if not os.path.exists(path):
-            print("error: cannot read path: %s" % path, file=sys.stderr)
-            return 2
-    report = check_paths(args.paths)
-    if args.json:
-        sys.stdout.write(report.to_json())
-    else:
-        print(report.render())
-    return report.exit_code()
-
-
 def cmd_lint(args) -> int:
     from repro.analysis import lint_text, merge_reports
     from repro.stats import StatsCatalog
 
-    if args.closures:
-        if args.data or args.stats or args.deadline is not None:
-            print(
-                "error: --closures takes Python paths only (no --data, "
-                "--stats, or --deadline)",
-                file=sys.stderr,
-            )
-            return 2
-        args.paths = args.queries
-        return cmd_analyze(args)
     catalog = None
     if args.data and args.stats:
         print(
@@ -584,9 +531,6 @@ def _build_service(args):
         lint_admission=not args.no_lint,
         enable_views=args.views,
         view_threshold=args.view_threshold,
-        backend=args.backend,
-        workers=args.workers,
-        verify_closures=args.verify_closures,
     )
 
 
@@ -814,39 +758,6 @@ def _add_routing_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    """Executor-backend knobs shared by every executing subcommand."""
-    from repro.spark.parallel import BACKEND_NAMES, DEFAULT_WORKERS
-
-    parser.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default="inprocess",
-        help="executor backend: 'inprocess' runs partition tasks serially "
-        "in the driver (the byte-exact oracle); 'parallel' runs them on a "
-        "forked worker pool (see docs/PARALLEL.md)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes under --backend parallel (default %d; "
-        "ignored by the in-process backend)" % DEFAULT_WORKERS,
-    )
-    _add_verify_closures_argument(parser)
-
-
-def _add_verify_closures_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--verify-closures",
-        action="store_true",
-        help="analyze every closure in a job's lineage at submission "
-        "time (rules CL000..CL007, see docs/ANALYSIS.md); a violating "
-        "closure aborts the run with exit code 4",
-    )
-
-
 def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
     """Fault-injection knobs shared by ``query`` and ``assess``."""
     parser.add_argument(
@@ -898,7 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_optimizer_arguments(query)
     _add_fault_arguments(query)
-    _add_backend_arguments(query)
 
     explain = sub.add_parser(
         "explain",
@@ -921,7 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_optimizer_arguments(explain)
     _add_routing_arguments(explain)
-    _add_verify_closures_argument(explain)
 
     route = sub.add_parser(
         "route",
@@ -969,7 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write every run's execution trace (JSON) to FILE",
     )
     _add_fault_arguments(assess)
-    _add_backend_arguments(assess)
 
     generate = sub.add_parser(
         "generate", help="write a synthetic dataset to N-Triples"
@@ -1050,13 +958,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the report as deterministic JSON instead of text",
     )
-    lint.add_argument(
-        "--closures",
-        action="store_true",
-        help="treat the positional arguments as Python files/directories "
-        "and run the closure analyzer (CL000..CL007) instead of the "
-        "SPARQL linter; equivalent to `repro analyze`",
-    )
     from repro.optimizer import DEFAULT_BROADCAST_THRESHOLD, ORDER_MODES
 
     lint.add_argument(
@@ -1074,23 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
         % DEFAULT_BROADCAST_THRESHOLD,
     )
 
-    analyze = sub.add_parser(
-        "analyze",
-        help="statically analyze Python sources for worker-boundary "
-        "closure violations (CL000..CL007; see docs/ANALYSIS.md)",
-    )
-    analyze.add_argument(
-        "paths",
-        nargs="+",
-        metavar="PATH",
-        help="Python file or directory to check (repeatable)",
-    )
-    analyze.add_argument(
-        "--json",
-        action="store_true",
-        help="print the report as deterministic JSON instead of text",
-    )
-
     serve = sub.add_parser(
         "serve",
         help="run the query service over JSON-lines requests "
@@ -1106,7 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_routing_arguments(serve)
     _add_optimizer_arguments(serve)
     _add_fault_arguments(serve)
-    _add_backend_arguments(serve)
 
     loadtest = sub.add_parser(
         "loadtest",
@@ -1164,7 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_routing_arguments(loadtest)
     _add_optimizer_arguments(loadtest)
     _add_fault_arguments(loadtest)
-    _add_backend_arguments(loadtest)
 
     from repro.federation import DEFAULT_PAGE_SIZE
 
@@ -1206,7 +1088,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_routing_arguments(validate)
     _add_optimizer_arguments(validate)
     _add_fault_arguments(validate)
-    _add_backend_arguments(validate)
 
     harvest = sub.add_parser(
         "harvest",
@@ -1240,7 +1121,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_routing_arguments(harvest)
     _add_optimizer_arguments(harvest)
     _add_fault_arguments(harvest)
-    _add_backend_arguments(harvest)
 
     return parser
 
@@ -1328,25 +1208,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         "loadtest": cmd_loadtest,
         "stats": cmd_stats,
         "lint": cmd_lint,
-        "analyze": cmd_analyze,
         "views": cmd_views,
         "validate": cmd_validate,
         "harvest": cmd_harvest,
     }
     try:
         return handlers[args.command](args)
-    except ClosureAnalysisError as exc:
-        print("error: closure rejected at job submission:", file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        return 4
     except ShaclError as exc:
         print("error: bad shapes file: %s" % exc, file=sys.stderr)
         return 2
     except FaultSpecError as exc:
         print("error: invalid --faults spec: %s" % exc, file=sys.stderr)
         return 2
-    except BackendConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except SparqlParseError as exc:
+        print("error: malformed query: %s" % exc, file=sys.stderr)
         return 2
     except RuntimeConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -74,19 +74,22 @@ def _parse_term(
     match = _TERM_RE.match(line, position)
     if match is None:
         raise NTriplesParseError(line_number, line, "expected a term")
-    if match.group("uri") is not None:
-        term: Term = URI(match.group("uri"))
-    elif match.group("bnode") is not None:
-        term = BNode(match.group("bnode"))
-    else:
-        lexical = _unescape(match.group("lexical"))
-        datatype = match.group("datatype")
-        lang = match.group("lang")
-        term = Literal(
-            lexical,
-            datatype=URI(datatype) if datatype else None,
-            language=lang,
-        )
+    try:
+        if match.group("uri") is not None:
+            term: Term = URI(match.group("uri"))
+        elif match.group("bnode") is not None:
+            term = BNode(match.group("bnode"))
+        else:
+            lexical = _unescape(match.group("lexical"))
+            datatype = match.group("datatype")
+            lang = match.group("lang")
+            term = Literal(
+                lexical,
+                datatype=URI(datatype) if datatype else None,
+                language=lang,
+            )
+    except ValueError as exc:
+        raise NTriplesParseError(line_number, line, str(exc)) from exc
     return term, match.end()
 
 

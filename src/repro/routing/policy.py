@@ -20,8 +20,8 @@ covers the query, the deterministic fallback chain is walked instead
 
 Every step is a pure function of (query text, catalog, feedback state),
 so a request sequence replays to byte-identical routing decisions --
-the property that keeps the parallel backend and the result caches
-oracle-exact (docs/ROUTING.md).
+the property that keeps the result caches oracle-exact
+(docs/ROUTING.md).
 """
 
 from __future__ import annotations

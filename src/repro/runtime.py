@@ -27,7 +27,6 @@ from repro.rdf.ntriples import load_ntriples_file
 from repro.rdf.turtle import parse_turtle
 from repro.spark.context import SparkContext
 from repro.spark.faults import FaultScheduler
-from repro.spark.parallel import BackendConfigError
 
 
 class RuntimeConfigError(ValueError):
@@ -84,31 +83,14 @@ def build_context(
     faults: Union[None, str, FaultScheduler] = None,
     max_task_attempts: int = 4,
     speculation: bool = False,
-    backend: str = "inprocess",
-    workers: Optional[int] = None,
-    verify_closures: bool = False,
 ) -> SparkContext:
-    """A SparkContext from the knob set shared by every entry point.
-
-    ``backend``/``workers`` select the executor backend (see
-    :mod:`repro.spark.parallel`); bad combinations raise
-    :class:`RuntimeConfigError` so the CLI reports them as configuration
-    errors rather than tracebacks.  ``verify_closures`` opts into
-    worker-boundary enforcement at job submission (see
-    :mod:`repro.analysis.closures`).
-    """
-    try:
-        return SparkContext(
-            default_parallelism=parallelism,
-            faults=faults,
-            max_task_attempts=max_task_attempts,
-            speculation=speculation,
-            backend=backend,
-            workers=workers,
-            verify_closures=verify_closures,
-        )
-    except BackendConfigError as exc:
-        raise RuntimeConfigError(str(exc)) from exc
+    """A SparkContext from the knob set shared by every entry point."""
+    return SparkContext(
+        default_parallelism=parallelism,
+        faults=faults,
+        max_task_attempts=max_task_attempts,
+        speculation=speculation,
+    )
 
 
 def build_engine(
@@ -119,9 +101,6 @@ def build_engine(
     max_task_attempts: int = 4,
     speculation: bool = False,
     ctx: Optional[SparkContext] = None,
-    backend: str = "inprocess",
-    workers: Optional[int] = None,
-    verify_closures: bool = False,
 ):
     """Resolve, construct, and warm one engine on *graph*.
 
@@ -137,8 +116,5 @@ def build_engine(
             faults=faults,
             max_task_attempts=max_task_attempts,
             speculation=speculation,
-            backend=backend,
-            workers=workers,
-            verify_closures=verify_closures,
         )
     return cls(ctx).load(graph)

@@ -181,11 +181,8 @@ class QueryService:
         lint_admission: bool = True,
         enable_views: bool = False,
         view_threshold: Optional[float] = None,
-        backend: str = "inprocess",
-        workers: Optional[int] = None,
         route: bool = False,
         route_engines: Optional[Sequence[str]] = None,
-        verify_closures: bool = False,
     ) -> None:
         if pool_size <= 0:
             raise ValueError("pool_size must be positive")
@@ -212,13 +209,6 @@ class QueryService:
         self._faults = faults
         self._max_task_attempts = max_task_attempts
         self._speculation = speculation
-        #: Executor backend for every pooled engine ("inprocess" or
-        #: "parallel"); canonical payload bytes are identical either way.
-        self.backend = backend
-        self.workers = workers
-        #: Opt-in worker-boundary enforcement on every pooled engine's
-        #: context (see :mod:`repro.analysis.closures`).
-        self.verify_closures = verify_closures
         self._optimize = optimize
         self._optimizer_mode = optimizer_mode
         self._broadcast_threshold = broadcast_threshold
@@ -307,9 +297,6 @@ class QueryService:
             faults=self._fault_schedule(),
             max_task_attempts=self._max_task_attempts,
             speculation=self._speculation,
-            backend=self.backend,
-            workers=self.workers,
-            verify_closures=self.verify_closures,
         )
         if self.optimizer is not None:
             engine.set_optimizer(self.optimizer)

@@ -8,7 +8,6 @@ from repro.spark.broadcast import Broadcast
 from repro.spark.deadline import Deadline
 from repro.spark.faults import FaultScheduler, as_fault_scheduler
 from repro.spark.metrics import MetricsCollector
-from repro.spark.parallel import build_backend
 from repro.spark.partitioner import Partitioner
 from repro.spark.rdd import ParallelCollectionRDD, PrePartitionedRDD, RDD
 from repro.spark.tracing import Tracer
@@ -38,21 +37,6 @@ class SparkContext:
     speculation:
         When true, straggling tasks launch a speculative backup copy
         (charged as an extra task plus ``speculative_launches``).
-    backend:
-        Executor backend running partition-parallel stages:
-        ``"inprocess"`` (the default serial oracle) or ``"parallel"``
-        (a forked ``multiprocessing`` worker pool; see
-        :mod:`repro.spark.parallel` and ``docs/PARALLEL.md``).  Both
-        produce byte-identical canonical results.
-    workers:
-        Worker-pool size for the parallel backend (default 2); ignored
-        by the in-process backend.
-    verify_closures:
-        Opt-in worker-boundary enforcement: every closure in a job's
-        lineage is analyzed at submission time (rules CL000..CL007,
-        see :mod:`repro.analysis.closures`) and a violating one raises
-        :exc:`repro.analysis.closures.ClosureAnalysisError` instead of
-        silently diverging from the oracle.  Off by default.
     """
 
     def __init__(
@@ -62,9 +46,6 @@ class SparkContext:
         faults: Union[None, str, FaultScheduler] = None,
         max_task_attempts: int = 4,
         speculation: bool = False,
-        backend: str = "inprocess",
-        workers: Optional[int] = None,
-        verify_closures: bool = False,
     ) -> None:
         if default_parallelism <= 0:
             raise ValueError("default_parallelism must be positive")
@@ -90,21 +71,6 @@ class SparkContext:
         #: task loop polls it via :meth:`check_deadline` once per
         #: partition computation (see :mod:`repro.spark.deadline`).
         self.deadline: Optional[Deadline] = None
-        #: Executor backend evaluating partition-parallel stages; see
-        #: :mod:`repro.spark.parallel`.
-        self.executor_backend = build_backend(backend, workers)
-        self.backend = self.executor_backend.name
-        self.workers = self.executor_backend.workers
-        #: Opt-in job-submission closure verification (CL000..CL007);
-        #: see :mod:`repro.analysis.closures` and docs/PARALLEL.md.
-        self.verify_closures = bool(verify_closures)
-        #: Closures already cleared by the verifier (id -> function, the
-        #: reference pins the id), so repeated materializations of the
-        #: same lineage re-check nothing.
-        self._verified_closures: dict = {}
-        #: Accumulators created through :meth:`accumulator`, by uid, so
-        #: the parallel backend can replay worker-side adds in task order.
-        self._accumulators: dict = {}
         self._rdd_counter = 0
         self._broadcast_counter = 0
 
@@ -181,9 +147,7 @@ class SparkContext:
         :class:`repro.spark.accumulator.Accumulator`)."""
         from repro.spark.accumulator import Accumulator
 
-        accumulator = Accumulator(zero, add, name)
-        self._accumulators[accumulator.uid] = accumulator
-        return accumulator
+        return Accumulator(zero, add, name)
 
     def __repr__(self) -> str:
         return "SparkContext(parallelism=%d, executors=%d)" % (

@@ -237,20 +237,6 @@ class MetricsCollector:
         """Add *amount* to counter *name*, creating it at zero if absent."""
         self._counters[name] = self._counters.get(name, 0) + amount
 
-    def merge_delta(self, delta) -> None:
-        """Fold a counter delta (mapping or (name, amount) pairs) in.
-
-        Counters are applied in sorted-name order so the collector's
-        internal insertion order -- which leaks into snapshot/JSON
-        iteration for fresh counters -- is independent of the order in
-        which concurrent workers happened to report.  Integer addition
-        itself commutes; the *name ordering* is what needs pinning.
-        """
-        items = delta.items() if hasattr(delta, "items") else delta
-        for name, amount in sorted(items):
-            if amount:
-                self._counters[name] = self._counters.get(name, 0) + amount
-
     def get(self, name: str) -> int:
         return self._counters.get(name, 0)
 

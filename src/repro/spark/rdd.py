@@ -225,13 +225,8 @@ class RDD:
         self._cached[index] = data
 
     def _materialize(self) -> List[List[Any]]:
-        """Evaluate every partition (filling the cache when requested).
-
-        Dispatches to the context's executor backend: the serial
-        in-process oracle or the multi-process pool (see
-        :mod:`repro.spark.parallel`).  Both produce identical data.
-        """
-        return self.ctx.executor_backend.materialize(self)
+        """Evaluate every partition (filling the cache when requested)."""
+        return [self._iterate(i) for i in range(self.num_partitions)]
 
     def cache(self) -> "RDD":
         """Keep computed partitions in memory for reuse (like ``persist``)."""
@@ -902,64 +897,32 @@ class ShuffledRDD(RDD):
 
     def _do_shuffle(self, span) -> List[List[Any]]:
         """Run the simulated shuffle, charging and (optionally) tracing it."""
+        ctx = self.ctx
         num_out = self.partitioner.num_partitions
         buckets: List[List[Any]] = [[] for _ in range(num_out)]
         records = remote = nbytes = 0
         for map_index in range(self.parent.num_partitions):
-            fragments, map_records, map_remote, map_bytes = (
-                self._map_fragments(map_index)
-            )
-            for reduce_index, fragment in enumerate(fragments):
-                buckets[reduce_index].extend(fragment)
-            records += map_records
-            remote += map_remote
-            nbytes += map_bytes
-        self._finish_shuffle(buckets, records, remote, nbytes, span)
-        return buckets
-
-    def _map_fragments(
-        self, map_index: int
-    ) -> Tuple[List[List[Any]], int, int, int]:
-        """One shuffle map task: route one parent partition into per-reduce
-        bucket fragments (with optional map-side combining), counting the
-        records/remote/bytes it contributes.  This is the unit the
-        parallel backend distributes; the serial path concatenates the
-        fragments in map order, so both produce identical buckets.
-        """
-        ctx = self.ctx
-        num_out = self.partitioner.num_partitions
-        fragments: List[List[Any]] = [[] for _ in range(num_out)]
-        records = remote = nbytes = 0
-        part = self.parent._iterate(map_index)
-        if self.aggregator is not None:
-            create, merge_value, _merge_combiners = self.aggregator
-            combined: Dict[Any, Any] = {}
-            for key, value in part:
-                if key in combined:
-                    combined[key] = merge_value(combined[key], value)
-                else:
-                    combined[key] = create(value)
-            outgoing: Iterable[Tuple[Any, Any]] = combined.items()
-        else:
-            outgoing = part
-        for key, value in outgoing:
-            reduce_index = self.partitioner.partition_for(key)
-            fragments[reduce_index].append((key, value))
-            records += 1
-            nbytes += estimate_size((key, value))
-            if ctx.executor_for(map_index) != ctx.executor_for(reduce_index):
-                remote += 1
-        return fragments, records, remote, nbytes
-
-    def _finish_shuffle(
-        self,
-        buckets: List[List[Any]],
-        records: int,
-        remote: int,
-        nbytes: int,
-        span,
-    ) -> None:
-        """Reduce-side combining plus the one-shot shuffle charge."""
+            part = self.parent._iterate(map_index)
+            if self.aggregator is not None:
+                create, merge_value, _merge_combiners = self.aggregator
+                combined: Dict[Any, Any] = {}
+                for key, value in part:
+                    if key in combined:
+                        combined[key] = merge_value(combined[key], value)
+                    else:
+                        combined[key] = create(value)
+                outgoing: Iterable[Tuple[Any, Any]] = combined.items()
+            else:
+                outgoing = part
+            for key, value in outgoing:
+                reduce_index = self.partitioner.partition_for(key)
+                buckets[reduce_index].append((key, value))
+                records += 1
+                nbytes += estimate_size((key, value))
+                if ctx.executor_for(map_index) != ctx.executor_for(
+                    reduce_index
+                ):
+                    remote += 1
         if self.aggregator is not None:
             _create, _merge_value, merge_combiners = self.aggregator
             for i, bucket in enumerate(buckets):
@@ -970,11 +933,12 @@ class ShuffledRDD(RDD):
                     else:
                         merged[key] = value
                 buckets[i] = list(merged.items())
-        self.ctx.metrics.record_shuffle(records, remote, nbytes)
+        ctx.metrics.record_shuffle(records, remote, nbytes)
         if span is not None:
             span.attrs["records"] = records
             span.attrs["remote"] = remote
             span.attrs["bytes"] = nbytes
+        return buckets
 
     def compute(self, index: int) -> List[Any]:
         return list(self._ensure_shuffled()[index])

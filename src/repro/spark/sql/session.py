@@ -30,12 +30,6 @@ class SparkSession(Catalog):
         under the same adversarial schedule as raw RDD code.  Passing
         them together with an explicit ``ctx`` is an error -- configure
         the context instead.
-    backend / workers:
-        Executor-backend knobs forwarded the same way (see
-        :mod:`repro.spark.parallel`): ``"inprocess"`` (serial oracle,
-        the default) or ``"parallel"`` (forked worker pool).  Like
-        ``faults``, selecting a non-default backend together with an
-        explicit ``ctx`` is an error.
     """
 
     def __init__(
@@ -46,26 +40,17 @@ class SparkSession(Catalog):
         faults=None,
         max_task_attempts: int = 4,
         speculation: bool = False,
-        backend: str = "inprocess",
-        workers: Optional[int] = None,
     ) -> None:
         if ctx is not None and faults is not None:
             raise ValueError(
                 "pass faults either to the SparkContext or to the "
                 "SparkSession, not both"
             )
-        if ctx is not None and backend != "inprocess":
-            raise ValueError(
-                "pass the executor backend either to the SparkContext or "
-                "to the SparkSession, not both"
-            )
         self.ctx = ctx or SparkContext(
             default_parallelism,
             faults=faults,
             max_task_attempts=max_task_attempts,
             speculation=speculation,
-            backend=backend,
-            workers=workers,
         )
         self.autoBroadcastJoinThreshold = autoBroadcastJoinThreshold
         self._tables: Dict[str, DataFrame] = {}

@@ -306,36 +306,6 @@ def trace_from_json(text: str) -> List[Span]:
     return [Span.from_dict(data) for data in payload.get("spans", ())]
 
 
-def normalize_spans(roots: List[Span]) -> List[Dict[str, Any]]:
-    """A canonical form of a trace, modulo concurrency nondeterminism.
-
-    The parallel backend (:mod:`repro.spark.parallel`) merges worker
-    spans in ascending task order, so two fields -- and only these two --
-    may differ from an in-process run of the same query: the global
-    ``seq`` numbering, and the relative order of *sibling* spans that
-    came from different tasks.  This pass drops ``seq`` and sorts each
-    sibling list by its canonical JSON, producing a structure that is
-    equal across backends whenever the traces agree on everything that
-    matters (kinds, names, attrs, per-span metric deltas, nesting).
-    """
-
-    def normalize(data: Dict[str, Any]) -> Dict[str, Any]:
-        out = {
-            key: value for key, value in data.items() if key != "seq"
-        }
-        children = [normalize(child) for child in data.get("children", ())]
-        if children:
-            out["children"] = sorted(
-                children, key=lambda child: json.dumps(child, sort_keys=True)
-            )
-        return out
-
-    return sorted(
-        (normalize(span.to_dict()) for span in roots),
-        key=lambda span: json.dumps(span, sort_keys=True),
-    )
-
-
 def trace_totals(roots: List[Span]) -> MetricsSnapshot:
     """Sum of the root spans' inclusive deltas.
 

@@ -59,6 +59,15 @@ class _Parser:
         self.stream = stream
         self.namespaces = NamespaceManager()
 
+    def _expand(self, token) -> URI:
+        """Expand a prefixed-name token; an unbound prefix is a parse error."""
+        try:
+            return self.namespaces.expand(token.value)
+        except (KeyError, ValueError) as exc:
+            raise SparqlParseError(
+                "%s at position %d" % (exc.args[0], token.position)
+            ) from exc
+
     # -- prologue ------------------------------------------------------
 
     def parse_query(self) -> Query:
@@ -124,7 +133,7 @@ class _Parser:
                 terms.append(URI(token.value[1:-1]))
             elif token.kind == "pname":
                 self.stream.next()
-                terms.append(self.namespaces.expand(token.value))
+                terms.append(self._expand(token))
             else:
                 break
         if not variables and not terms:
@@ -276,7 +285,7 @@ class _Parser:
             return URI(token.value[1:-1])
         if token.kind == "pname":
             self.stream.next()
-            return self.namespaces.expand(token.value)
+            return self._expand(token)
         if predicate_position and self.stream.accept("keyword", "A"):
             return RDF.type
         if token.kind == "bnode":
@@ -314,7 +323,7 @@ class _Parser:
                     return Literal(lexical, datatype=URI(dt_token.value[1:-1]))
                 if dt_token.kind == "pname":
                     return Literal(
-                        lexical, datatype=self.namespaces.expand(dt_token.value)
+                        lexical, datatype=self._expand(dt_token)
                     )
                 raise SparqlParseError("expected datatype after ^^")
             return Literal(lexical)
@@ -424,7 +433,7 @@ class _Parser:
             return TermExpr(URI(token.value[1:-1]))
         if token.kind == "pname":
             self.stream.next()
-            return TermExpr(self.namespaces.expand(token.value))
+            return TermExpr(self._expand(token))
         literal = self._try_parse_literal()
         if literal is not None:
             return TermExpr(literal)

@@ -66,6 +66,15 @@ class TestNTriplesParsing:
             parse_ntriples("<http://x/s> <http://x/p> <http://x/o> .\nbad line\n")
         assert info.value.line_number == 2
 
+    def test_empty_uri_reports_line_number(self):
+        with pytest.raises(NTriplesParseError) as info:
+            parse_ntriples(
+                "<http://x/s> <http://x/p> <http://x/o> .\n"
+                "<> <http://x/p> <http://x/o> .\n"
+            )
+        assert info.value.line_number == 2
+        assert "URI cannot be empty" in str(info.value)
+
     def test_file_roundtrip(self, tmp_path):
         graph = RDFGraph(
             [

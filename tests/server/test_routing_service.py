@@ -2,8 +2,7 @@
 
 The contract under test (docs/ROUTING.md): routing chooses *where* a
 query runs, never *what* it answers -- payload bytes with ``route=True``
-are identical to the fixed-engine service for every corpus query, under
-every backend, for any worker count.
+are identical to the fixed-engine service for every corpus query.
 """
 
 import glob
@@ -167,46 +166,3 @@ class TestCustomPools:
 
 def routed_stats_fallbacks(service):
     return service.stats()["routing"]["fallback_decisions"]
-
-
-class TestParallelBackend:
-    """Routing decisions and wire bytes are backend- and worker-invariant."""
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_parallel_matches_oracle(self, lubm_graph, workers):
-        queries = [read_query(path) for path in CORPUS[:4]]
-        oracle = QueryService(lubm_graph, route=True, pool_size=1)
-        parallel = QueryService(
-            lubm_graph,
-            route=True,
-            pool_size=1,
-            backend="parallel",
-            workers=workers,
-        )
-        for text in queries:
-            expected = oracle.submit(QueryRequest(text=text))
-            actual = parallel.submit(QueryRequest(text=text))
-            assert actual.engine == expected.engine
-            assert actual.payload == expected.payload
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("workers", [4])
-    def test_parallel_full_corpus(self, lubm_graph, workers):
-        oracle = QueryService(lubm_graph, route=True, pool_size=1)
-        parallel = QueryService(
-            lubm_graph,
-            route=True,
-            pool_size=1,
-            backend="parallel",
-            workers=workers,
-        )
-        for path in CORPUS:
-            text = read_query(path)
-            expected = oracle.submit(QueryRequest(text=text))
-            actual = parallel.submit(QueryRequest(text=text))
-            assert actual.engine == expected.engine
-            assert actual.payload == expected.payload
-        assert (
-            parallel.stats()["routing"]["decisions"]
-            == oracle.stats()["routing"]["decisions"]
-        )

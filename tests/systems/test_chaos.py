@@ -17,20 +17,8 @@ from repro.data.lubm import LubmGenerator
 from repro.explain import EngineExplain, verify_conservation
 from repro.spark.context import SparkContext
 from repro.spark.faults import FaultScheduler
-from repro.spark.parallel import parallel_available
-from repro.spark.tracing import normalize_spans
 from repro.sparql.parser import parse_sparql
-from repro.systems import (
-    ALL_ENGINE_CLASSES,
-    NaiveEngine,
-    S2RdfEngine,
-    SparqlgxEngine,
-)
-
-needs_fork = pytest.mark.skipif(
-    not parallel_available(),
-    reason="parallel backend needs the fork start method",
-)
+from repro.systems import ALL_ENGINE_CLASSES, NaiveEngine, SparqlgxEngine
 
 ENGINES = (NaiveEngine,) + ALL_ENGINE_CLASSES
 
@@ -53,34 +41,19 @@ def canonical(solution_set):
     )
 
 
-def chaos_run(
-    engine_class,
-    graph,
-    query_text,
-    seed,
-    trace=False,
-    backend="inprocess",
-    workers=None,
-):
+def chaos_run(engine_class, graph, query_text, seed, trace=False):
     """One engine execution under the seeded chaos schedule.
 
     Returns (canonical rows, marginal metrics delta, context).  Tracing,
     when requested, brackets only the query (not the load), and uses the
     traced driver path that caches operator outputs -- which is exactly
     what gives ``lose`` events cached partitions to evict.
-
-    ``backend``/``workers`` put the same seeded schedule under the
-    parallel executor: fault decisions are pure functions of
-    (seed, kind, stage, partition, attempt), so workers reproduce the
-    serial decisions and the recovery counters must reconcile exactly.
     """
     sc = SparkContext(
         4,
         faults=FaultScheduler.from_spec(CHAOS_SPEC % seed),
         max_task_attempts=MAX_ATTEMPTS,
         speculation=True,
-        backend=backend,
-        workers=workers,
     )
     engine = engine_class(sc)
     engine.load(graph)
@@ -166,91 +139,6 @@ def test_conservation_holds_with_recovery_spans(lubm_graph):
     assert delta.tasks_failed > 0
     flat = {counter: value for counter, value in delta if value}
     assert "tasks_failed" in flat
-
-
-@needs_fork
-@pytest.mark.parametrize("seed", [3, 7])
-@pytest.mark.parametrize("workers", [2, 4])
-def test_parallel_chaos_reconciles_with_inprocess(
-    lubm_graph, seed, workers
-):
-    # Same seed, same schedule: the forked pool must land on the exact
-    # answers and the exact recovery counters the serial oracle reports.
-    rows_serial, delta_serial, _sc = chaos_run(
-        SparqlgxEngine, lubm_graph, STAR, seed=seed
-    )
-    rows_parallel, delta_parallel, _sc = chaos_run(
-        SparqlgxEngine,
-        lubm_graph,
-        STAR,
-        seed=seed,
-        backend="parallel",
-        workers=workers,
-    )
-    assert rows_parallel == rows_serial
-    assert dict(delta_parallel) == dict(delta_serial)
-    # The reconciliation is not vacuous: the schedule actually bit.
-    assert delta_parallel.tasks_failed > 0
-    assert delta_parallel.tasks_retried == delta_parallel.tasks_failed
-
-
-@needs_fork
-@pytest.mark.parametrize(
-    "engine_class", [NaiveEngine, S2RdfEngine], ids=engine_id
-)
-def test_parallel_chaos_traces_normalize_identically(
-    lubm_graph, engine_class
-):
-    # Span ``seq`` numbers and cross-task sibling order are the only
-    # concurrency-nondeterministic trace fields (docs/PARALLEL.md);
-    # after normalize_spans() the trees must be equal, retry spans and
-    # all.
-    _rows, delta_serial, sc_serial = chaos_run(
-        engine_class, lubm_graph, STAR, seed=7, trace=True
-    )
-    _rows, delta_parallel, sc_parallel = chaos_run(
-        engine_class,
-        lubm_graph,
-        STAR,
-        seed=7,
-        trace=True,
-        backend="parallel",
-        workers=2,
-    )
-    serial_spans = normalize_spans(sc_serial.tracer.roots)
-    parallel_spans = normalize_spans(sc_parallel.tracer.roots)
-    assert parallel_spans == serial_spans
-    assert dict(delta_parallel) == dict(delta_serial)
-
-    kinds = set()
-
-    def walk(span):
-        kinds.add(span["kind"])
-        for child in span.get("children", ()):
-            walk(child)
-
-    for span in parallel_spans:
-        walk(span)
-    assert "fault" in kinds and "retry" in kinds
-
-
-@needs_fork
-@pytest.mark.slow
-@pytest.mark.parametrize("engine_class", ENGINES, ids=engine_id)
-def test_parallel_chaos_preserves_answers_on_every_engine(
-    engine_class, lubm_graph, fault_free_star
-):
-    rows, delta, _sc = chaos_run(
-        engine_class,
-        lubm_graph,
-        STAR,
-        seed=7,
-        backend="parallel",
-        workers=2,
-    )
-    assert rows == fault_free_star
-    assert delta.tasks_failed > 0
-    assert delta.tasks_retried == delta.tasks_failed
 
 
 def test_partition_loss_recovery_fires_under_traced_chaos(lubm_graph):

@@ -6,7 +6,8 @@ The full map (documented in README.md):
 code  meaning
 ====  ==========================================================
 0     success; ``lint`` found nothing
-2     unusable inputs (bad spec, unknown engine, unreadable file)
+2     unusable inputs (bad spec, unknown engine, malformed query,
+      unreadable file)
 3     a fault schedule exhausted ``--max-task-attempts``
 4     ``lint`` found warnings only
 5     ``lint`` found errors
@@ -94,6 +95,26 @@ def build_cases():
             2,
         ),
         (
+            "input-error-malformed-query",
+            lambda d, t: ["query", d, "SELECT ?s WHERE { ?s ?p }"],
+            2,
+        ),
+        (
+            "input-error-malformed-explain",
+            lambda d, t: ["explain", d, "SELECT ?s WHERE { ?s ?p }"],
+            2,
+        ),
+        (
+            "input-error-unbound-prefix-query",
+            lambda d, t: ["query", d, "SELECT ?s WHERE { ?s foo:bar ?o }"],
+            2,
+        ),
+        (
+            "input-error-unbound-prefix-explain",
+            lambda d, t: ["explain", d, "SELECT ?s WHERE { ?s foo:bar ?o }"],
+            2,
+        ),
+        (
             "fault-exhaustion",
             lambda d, t: [
                 "query", d, "SELECT ?s WHERE { ?s ?p ?o }",
@@ -137,6 +158,16 @@ def test_exit_code(argv_builder, expected, data_file, tmp_path, capsys):
     code = main(argv_builder(data_file, tmp_path))
     capsys.readouterr()
     assert code == expected
+
+
+@pytest.mark.parametrize("command", ["query", "explain"])
+def test_malformed_query_prints_one_error_line(command, data_file, capsys):
+    code = main([command, data_file, "SELECT ?s WHERE { ?s foo:bar ?o }"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [
+        "error: malformed query: unbound prefix 'foo' at position 21"
+    ]
 
 
 class TestLintOutput:

@@ -108,6 +108,29 @@ class TestServe:
         assert c1["invalidated"] == 1
         assert c2["invalidated"] == 1  # the second commit dropped one entry
 
+    def test_unbound_prefix_answers_error_and_keeps_serving(
+        self, data_file, tmp_path, capsys
+    ):
+        requests = write_requests(
+            tmp_path,
+            [
+                {
+                    "op": "query",
+                    "id": "bad",
+                    "query": "SELECT ?s WHERE { ?s foo:bar ?o }",
+                },
+                {"op": "query", "id": "good", "query": MEMBER_QUERY},
+            ],
+        )
+        assert main(["serve", data_file, "--input", requests]) == 0
+        bad, good = [
+            json.loads(line)
+            for line in capsys.readouterr().out.strip().splitlines()
+        ]
+        assert bad["id"] == "bad" and bad["status"] == "error"
+        assert "unbound prefix 'foo'" in bad["error"]
+        assert good["id"] == "good" and good["status"] == "ok"
+
     def test_deadline_and_malformed_lines_keep_loop_alive(
         self, data_file, tmp_path, capsys
     ):
