@@ -2,8 +2,8 @@
 
 Each worker process mutates its *own copy* of the captured container;
 the driver's original never changes, so the job silently computes
-nothing (the in-process oracle, meanwhile, would see every write --
-the two backends diverge).
+nothing (the in-process simulator, meanwhile, sees every write, so the
+bug only shows on a cluster).
 """
 
 from repro.spark.context import SparkContext

@@ -1,14 +1,15 @@
 """Front 4: the closure & shared-state analyzer (rules ``CL000`` .. ``CL007``).
 
-The multi-process executor backend (``repro.spark.parallel``, PR 7)
-reintroduced the classic Spark failure family: a function shipped to a
-worker that captures driver state it cannot legally use there.  The
-in-process oracle hides every such bug -- captured objects are shared,
-mutations are visible, accumulator reads are current -- and the forked
-pool silently diverges.  Real Spark guards this boundary mechanically
-(ClosureCleaner + serializability checks); this module is our
-equivalent.  It AST-walks every function handed to an RDD / DataFrame
-transformation across ``src/repro`` and flags worker-boundary
+Every function handed to an RDD / DataFrame transformation is, on a
+real Spark cluster, serialized and shipped to executor processes: the
+classic Spark failure family is a closure that captures driver state it
+cannot legally use there.  The in-process simulator hides every such
+bug -- captured objects are shared, mutations are visible, accumulator
+reads are current -- so a job that passes here can still compute a
+wrong answer on a cluster.  Real Spark guards this boundary
+mechanically (ClosureCleaner + serializability checks); this module is
+our equivalent.  It AST-walks every function handed to an RDD /
+DataFrame transformation across ``src/repro`` and flags worker-boundary
 violations, as a CI gate::
 
     PYTHONPATH=src python -m repro.analysis.closures src/repro
@@ -17,15 +18,15 @@ Rules (catalog in ``docs/ANALYSIS.md``):
 
 ``CL000`` (error)
     A worker closure captures a driver-only object (``SparkContext``,
-    ``SparkSession``, ``QueryService``, an engine pool or executor
-    backend).  Those objects never cross the worker pipe.
+    ``SparkSession``, ``QueryService`` or an engine pool).  Those
+    objects never leave the driver.
 ``CL001`` (error)
     Mutation of captured state inside a worker closure: an augmented
     assignment, a subscript/attribute store, or an in-place mutator
-    method on a free variable.  Under the parallel backend the mutation
-    happens in a forked copy and is lost at merge -- the oracle and the
-    pool silently diverge.  Accumulator ``.add`` is the sanctioned
-    channel and is not flagged.
+    method on a free variable.  On a cluster the mutation happens in an
+    executor's deserialized copy and never reaches the driver, while the
+    in-process simulator sees every write.  Accumulator ``.add`` is the
+    sanctioned channel and is not flagged.
 ``CL002`` (error)
     Accumulator ``.value`` read inside a worker closure.  The driver
     value is stale on workers by definition; ``.value`` is a
@@ -38,7 +39,7 @@ Rules (catalog in ``docs/ANALYSIS.md``):
     A worker closure raises a locally-defined exception class whose
     ``__init__`` requires extra arguments but defines no
     ``__reduce__``/``__getstate__``: the instance fails the pickle
-    round-trip the worker pipe performs on errors.
+    round-trip an executor performs to report a task error.
 ``CL005`` (warning)
     A worker closure defined inside a loop captures the loop variable
     by reference.  Python closes over the *variable*, not the value:
@@ -46,7 +47,8 @@ Rules (catalog in ``docs/ANALYSIS.md``):
     Rebind it as a default argument (``lambda x, v=v: ...``).
 ``CL006`` (error)
     ``global`` (or a ``nonlocal`` reaching outside the closure) in
-    worker code: writes land in the forked copy and vanish at merge.
+    worker code: writes land in the executor's copy and never reach the
+    driver.
 ``CL007`` (error)
     A worker closure calls a function that is itself guilty of one of
     the above (one-level interprocedural resolution through the
@@ -118,8 +120,6 @@ WORKER_METHODS: Dict[str, Tuple[int, ...]] = {
 #: neither capture nor construct one.
 DRIVER_TYPES = frozenset(
     (
-        "InProcessBackend",
-        "ParallelBackend",
         "QueryService",
         "SparkContext",
         "SparkSession",
@@ -127,11 +127,9 @@ DRIVER_TYPES = frozenset(
 )
 
 #: Calls whose *result* is a driver-only object: the types above plus
-#: the factory functions that produce contexts, backends, engines, and
-#: service pools.
-DRIVER_FACTORIES = DRIVER_TYPES | frozenset(
-    ("build_backend", "build_context", "build_engine")
-)
+#: the factory functions that produce contexts, engines, and service
+#: pools.
+DRIVER_FACTORIES = DRIVER_TYPES | frozenset(("build_context", "build_engine"))
 
 #: Methods that mutate their receiver in place.
 MUTATOR_METHODS = frozenset(
@@ -151,8 +149,8 @@ MUTATOR_METHODS = frozenset(
     )
 )
 
-#: Dunder hooks that make a class survive the worker pipe's pickle
-#: round-trip despite a custom ``__init__`` signature.
+#: Dunder hooks that make a class survive the pickle round-trip an
+#: executor performs on task errors, despite a custom ``__init__`` signature.
 _PICKLE_HOOKS = frozenset(
     ("__getnewargs__", "__getstate__", "__reduce__", "__reduce_ex__")
 )
@@ -288,7 +286,7 @@ def _collect_registries(tree: ast.Module) -> _Registries:
 
 
 def _pickle_risky(cls: ast.ClassDef) -> bool:
-    """True for exception classes the worker pipe cannot round-trip:
+    """True for exception classes that cannot survive a pickle round-trip:
     a custom ``__init__`` demanding extra required arguments with none
     of the pickle hooks defined."""
     is_exception = any(
@@ -362,7 +360,7 @@ def _closure_violations(
             "CL001",
             node,
             "%s on captured variable '%s' inside a %s: the write "
-            "happens in a forked worker copy and is lost at merge"
+            "happens in an executor's copy and never reaches the driver"
             % (how, root.id, describe),
         )
 
@@ -375,8 +373,8 @@ def _closure_violations(
                     "CL000",
                     node,
                     "%s captures driver-only object '%s': contexts, "
-                    "sessions, services, and backends never cross the "
-                    "worker pipe" % (describe, node.id),
+                    "sessions, services, and engines never leave the "
+                    "driver" % (describe, node.id),
                 )
             elif node.id in DRIVER_TYPES and free(node.id):
                 flag(
@@ -413,7 +411,7 @@ def _closure_violations(
                         node,
                         "in-place mutator .%s() on captured variable "
                         "'%s' inside a %s: the write happens in a "
-                        "forked worker copy and is lost at merge"
+                        "executor's copy and never reaches the driver"
                         % (func.attr, root.id, describe),
                     )
             elif isinstance(func, ast.Name) and free(func.id):
@@ -455,15 +453,15 @@ def _closure_violations(
                     node,
                     "%s raises %s, whose __init__ requires extra "
                     "arguments but defines no __reduce__: the instance "
-                    "fails the worker pipe's pickle round-trip"
+                    "fails the pickle round-trip of a task error"
                     % (describe, exc.func.id),
                 )
         elif isinstance(node, ast.Global):
             flag(
                 "CL006",
                 node,
-                "global statement in a %s: the write lands in a forked "
-                "worker copy and vanishes at merge" % describe,
+                "global statement in a %s: the write lands in an "
+                "executor's copy and never reaches the driver" % describe,
             )
         elif isinstance(node, ast.Nonlocal):
             if any(name not in bound for name in node.names):
@@ -471,7 +469,7 @@ def _closure_violations(
                     "CL006",
                     node,
                     "nonlocal reaching outside a %s: the write lands "
-                    "in a forked worker copy and vanishes at merge"
+                    "in an executor's copy and never reaches the driver"
                     % describe,
                 )
     return findings
@@ -711,7 +709,7 @@ CLOSURE_RULES.rule(
     "CL003", "error", "broadcast variable mutated after capture"
 )(_rule_check("CL003"))
 CLOSURE_RULES.rule(
-    "CL004", "warning", "exception type cannot cross the worker pipe"
+    "CL004", "warning", "exception type cannot survive a pickle round-trip"
 )(_rule_check("CL004"))
 CLOSURE_RULES.rule(
     "CL005", "warning", "worker closure captures a loop variable"
@@ -880,8 +878,8 @@ def verify_callable(
                 code="CL000",
                 severity="error",
                 message="closure %s captures driver-only object '%s': "
-                "contexts, sessions, services, and backends never "
-                "cross the worker pipe" % (qualname, name),
+                "contexts, sessions, services, and engines never "
+                "leave the driver" % (qualname, name),
                 location=location,
             )
         )
@@ -927,6 +925,34 @@ def verify_callable(
     return report
 
 
+def lineage(rdd) -> List[Any]:
+    """Every distinct RDD reachable from *rdd*, parents before children.
+
+    Narrow and wide dependencies are both followed (``parent`` /
+    ``left`` / ``right`` attributes cover every RDD kind in
+    :mod:`repro.spark.rdd`); shared sub-lineages are visited once.
+    """
+    from repro.spark.rdd import RDD
+
+    seen: Dict[int, Any] = {}
+    order: List[Any] = []
+    stack: List[Tuple[Any, bool]] = [(rdd, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        stack.append((node, True))
+        for attr in ("right", "left", "parent"):
+            child = getattr(node, attr, None)
+            if isinstance(child, RDD) and id(child) not in seen:
+                stack.append((child, False))
+    return order
+
+
 def verify_rdd(rdd) -> int:
     """Verify every closure in *rdd*'s lineage; the number checked.
 
@@ -935,8 +961,6 @@ def verify_rdd(rdd) -> int:
     code objects are memoized on the context, so re-submitting the
     same lineage is free.
     """
-    from repro.spark.parallel import lineage
-
     ctx = rdd.ctx
     # Keyed by id() while holding a strong reference: distinct closures
     # can share one code object (the RDD API's adapter lambdas), and a

@@ -162,12 +162,12 @@ class RuleSet:
 
 
 #: The shared suppression-comment syntax: ``# repro: allow(DT002)`` with
-#: codes comma- or space-separated.  The source-level determinism
-#: checker honors it through :func:`suppressed`; the query linter
-#: accepts the same spelling as a SPARQL comment anywhere in the query
-#: text (its findings carry no line anchors); docsync accepts the
-#: markdown-native ``<!-- repro: allow(DS004) -->`` on or above the
-#: flagged doc line.
+#: codes comma- or space-separated.  The source-level analyzers (the
+#: determinism checker and the closure analyzer) honor it through
+#: :func:`suppressed`; the query linter accepts the same spelling as a
+#: SPARQL comment anywhere in the query text (its findings carry no
+#: line anchors); docsync accepts the markdown-native
+#: ``<!-- repro: allow(DS004) -->`` on or above the flagged doc line.
 ALLOW_RE = re.compile(r"(?:#|<!--)\s*repro:\s*allow\(([^)]*)\)")
 
 

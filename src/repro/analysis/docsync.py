@@ -376,7 +376,7 @@ def _check_docs_index(context: DocsContext, found):
 
 
 #: A rule-catalog table row in docs/ANALYSIS.md: ``| QL001 | error | ...``.
-_RULE_ROW_RE = re.compile(r"^\|\s*((?:QL|DT|DS)\d{3})\s*\|")
+_RULE_ROW_RE = re.compile(r"^\|\s*((?:QL|DT|DS|CL)\d{3})\s*\|")
 
 
 def registered_rule_codes() -> Dict[str, str]:
@@ -385,11 +385,17 @@ def registered_rule_codes() -> Dict[str, str]:
     Imports are local: pulling the query linter at module import time
     would drag the optimizer/SPARQL stack into every docsync run.
     """
+    from repro.analysis.closures import CLOSURE_RULES
     from repro.analysis.determinism import DETERMINISM_RULES
     from repro.analysis.query import QUERY_RULES
 
     codes: Dict[str, str] = {}
-    for ruleset in (QUERY_RULES, DETERMINISM_RULES, DOCSYNC_RULES):
+    for ruleset in (
+        QUERY_RULES,
+        DETERMINISM_RULES,
+        DOCSYNC_RULES,
+        CLOSURE_RULES,
+    ):
         for rule in ruleset:
             codes[rule.code] = ruleset.analyzer
     return codes

@@ -124,6 +124,9 @@ class BenchRun:
     faults: Union[None, str, FaultScheduler] = None
     max_task_attempts: int = 4
     speculation: bool = False
+    #: Opt-in closure verification at job submission on every engine
+    #: context (see :mod:`repro.analysis.closures`).
+    verify_closures: bool = False
     results: List[RunResult] = field(default_factory=list)
 
     def _fault_schedule(self) -> Optional[FaultScheduler]:
@@ -167,6 +170,7 @@ class BenchRun:
                 faults=self._fault_schedule(),
                 max_task_attempts=self.max_task_attempts,
                 speculation=self.speculation,
+                verify_closures=self.verify_closures,
             )
             kwargs = kwargs_by_name.get(engine_class.profile.name, {})
             engine = engine_class(ctx, **kwargs)

@@ -36,6 +36,16 @@ Commands
     projections, unsatisfiable filters, and -- when statistics are
     supplied via ``--data`` or ``--stats`` -- unknown predicates,
     cost-over-deadline, and broadcast-threshold misuse.
+    ``lint --closures PATH...`` instead treats the positional arguments
+    as Python sources and runs the closure analyzer (same as
+    ``analyze``).
+``analyze PATH... [--json]``
+    Statically analyze Python sources for worker-boundary closure
+    violations (:mod:`repro.analysis.closures`, rules CL000..CL007):
+    driver-object capture, shared-state mutation inside worker code,
+    accumulator reads in transformations, broadcast mutation, unpickled
+    exception types, loop-variable capture, global writes, and calls
+    into guilty helpers.  Exit 0 clean / 4 warnings / 5 errors.
 ``views DATA {build,list,stats} [--view-threshold F] [--json FILE]``
     Materialize the ExtVP view catalog for an RDF file (S2RDF semi-join
     reduction tables, selected by selectivity threshold): print its
@@ -80,12 +90,19 @@ substitute materialized ExtVP views into the plans.  ``serve`` and
 ``loadtest`` run the same static linter at admission (disable with
 ``--no-lint``).
 
+``query``, ``explain``, ``assess``, ``serve``, ``loadtest``,
+``validate`` and ``harvest`` accept ``--verify-closures`` to analyze
+every closure in a job's lineage at submission time (rules
+CL000..CL007, docs/ANALYSIS.md); a violating closure aborts the run with
+exit code 4.
+
 Exit codes (the full table lives in README.md): 0 success / clean lint
 / conformant ``validate``; 1 failed ``assess``/``claims`` checks or a
 non-conformant ``validate``; 2 unusable inputs (bad ``--faults`` spec,
 unknown engine, malformed query, unreadable data/query/stats/shapes
-file); 3 when a fault schedule exhausts ``--max-task-attempts``; 4 lint
-found warnings only; 5 lint found errors.
+file); 3 when a fault schedule exhausts ``--max-task-attempts``; 4
+lint/``analyze`` found warnings only, or ``--verify-closures`` rejected a
+submitted closure; 5 lint/``analyze`` found errors.
 """
 
 from __future__ import annotations
@@ -95,6 +112,7 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.analysis.closures import ClosureAnalysisError
 from repro.bench import BenchRun, format_table
 from repro.core import (
     render_table_i,
@@ -165,6 +183,7 @@ def cmd_query(args) -> int:
         faults=args.faults,
         max_task_attempts=args.max_task_attempts,
         speculation=args.speculation,
+        verify_closures=args.verify_closures,
     )
     engine = _engine_class(args.engine)(sc)
     engine.load(graph)
@@ -276,6 +295,7 @@ def cmd_explain(args) -> int:
             route=args.route,
             route_engines=args.route_engines or None,
             shapes=shapes,
+            verify_closures=args.verify_closures,
         )
     )
     return 0
@@ -415,6 +435,7 @@ def cmd_assess(args) -> int:
         faults=args.faults,
         max_task_attempts=args.max_task_attempts,
         speculation=args.speculation,
+        verify_closures=args.verify_closures,
     )
     results = bench.run(
         (NaiveEngine,) + ALL_ENGINE_CLASSES, queries, trace=bool(args.trace)
@@ -450,10 +471,35 @@ def cmd_assess(args) -> int:
     return 1 if bench.incorrect() else 0
 
 
+def cmd_analyze(args) -> int:
+    from repro.analysis.closures import check_paths
+
+    for path in args.paths:
+        if not os.path.exists(path):
+            print("error: cannot read path: %s" % path, file=sys.stderr)
+            return 2
+    report = check_paths(args.paths)
+    if args.json:
+        sys.stdout.write(report.to_json())
+    else:
+        print(report.render())
+    return report.exit_code()
+
+
 def cmd_lint(args) -> int:
     from repro.analysis import lint_text, merge_reports
     from repro.stats import StatsCatalog
 
+    if args.closures:
+        if args.data or args.stats or args.deadline is not None:
+            print(
+                "error: --closures takes Python paths only (no --data, "
+                "--stats, or --deadline)",
+                file=sys.stderr,
+            )
+            return 2
+        args.paths = args.queries
+        return cmd_analyze(args)
     catalog = None
     if args.data and args.stats:
         print(
@@ -531,6 +577,7 @@ def _build_service(args):
         lint_admission=not args.no_lint,
         enable_views=args.views,
         view_threshold=args.view_threshold,
+        verify_closures=args.verify_closures,
     )
 
 
@@ -758,6 +805,16 @@ def _add_routing_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_verify_closures_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--verify-closures",
+        action="store_true",
+        help="analyze every closure in a job's lineage at submission "
+        "time (rules CL000..CL007, see docs/ANALYSIS.md); a violating "
+        "closure aborts the run with exit code 4",
+    )
+
+
 def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
     """Fault-injection knobs shared by ``query`` and ``assess``."""
     parser.add_argument(
@@ -809,6 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_optimizer_arguments(query)
     _add_fault_arguments(query)
+    _add_verify_closures_argument(query)
 
     explain = sub.add_parser(
         "explain",
@@ -831,6 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_optimizer_arguments(explain)
     _add_routing_arguments(explain)
+    _add_verify_closures_argument(explain)
 
     route = sub.add_parser(
         "route",
@@ -878,6 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write every run's execution trace (JSON) to FILE",
     )
     _add_fault_arguments(assess)
+    _add_verify_closures_argument(assess)
 
     generate = sub.add_parser(
         "generate", help="write a synthetic dataset to N-Triples"
@@ -958,6 +1018,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the report as deterministic JSON instead of text",
     )
+    lint.add_argument(
+        "--closures",
+        action="store_true",
+        help="treat the positional arguments as Python files/directories "
+        "and run the closure analyzer (CL000..CL007) instead of the "
+        "SPARQL linter; equivalent to `repro analyze`",
+    )
     from repro.optimizer import DEFAULT_BROADCAST_THRESHOLD, ORDER_MODES
 
     lint.add_argument(
@@ -975,6 +1042,23 @@ def build_parser() -> argparse.ArgumentParser:
         % DEFAULT_BROADCAST_THRESHOLD,
     )
 
+    analyze = sub.add_parser(
+        "analyze",
+        help="statically analyze Python sources for worker-boundary "
+        "closure violations (CL000..CL007; see docs/ANALYSIS.md)",
+    )
+    analyze.add_argument(
+        "paths",
+        nargs="+",
+        metavar="PATH",
+        help="Python file or directory to check (repeatable)",
+    )
+    analyze.add_argument(
+        "--json",
+        action="store_true",
+        help="print the report as deterministic JSON instead of text",
+    )
+
     serve = sub.add_parser(
         "serve",
         help="run the query service over JSON-lines requests "
@@ -990,6 +1074,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_routing_arguments(serve)
     _add_optimizer_arguments(serve)
     _add_fault_arguments(serve)
+    _add_verify_closures_argument(serve)
 
     loadtest = sub.add_parser(
         "loadtest",
@@ -1047,6 +1132,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_routing_arguments(loadtest)
     _add_optimizer_arguments(loadtest)
     _add_fault_arguments(loadtest)
+    _add_verify_closures_argument(loadtest)
 
     from repro.federation import DEFAULT_PAGE_SIZE
 
@@ -1088,6 +1174,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_routing_arguments(validate)
     _add_optimizer_arguments(validate)
     _add_fault_arguments(validate)
+    _add_verify_closures_argument(validate)
 
     harvest = sub.add_parser(
         "harvest",
@@ -1121,6 +1208,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_routing_arguments(harvest)
     _add_optimizer_arguments(harvest)
     _add_fault_arguments(harvest)
+    _add_verify_closures_argument(harvest)
 
     return parser
 
@@ -1208,12 +1296,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "loadtest": cmd_loadtest,
         "stats": cmd_stats,
         "lint": cmd_lint,
+        "analyze": cmd_analyze,
         "views": cmd_views,
         "validate": cmd_validate,
         "harvest": cmd_harvest,
     }
     try:
         return handlers[args.command](args)
+    except ClosureAnalysisError as exc:
+        print("error: closure rejected at job submission:", file=sys.stderr)
+        print(str(exc), file=sys.stderr)
+        return 4
     except ShaclError as exc:
         print("error: bad shapes file: %s" % exc, file=sys.stderr)
         return 2

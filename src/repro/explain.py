@@ -78,6 +78,9 @@ class EngineExplain:
     spans: List[Span] = field(default_factory=list)
     totals: MetricsSnapshot = field(default_factory=MetricsSnapshot)
     error: str = ""
+    #: Closures checked by the opt-in worker-boundary verifier, or None
+    #: when the run executed without ``verify_closures``.
+    closures_verified: Optional[int] = None
 
     def render(self) -> str:
         header = "== %s ==" % self.engine
@@ -97,7 +100,7 @@ class EngineExplain:
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-ready record; span deltas sum to ``totals`` by construction."""
-        return {
+        payload = {
             "engine": self.engine,
             "supported": self.supported,
             "rows": self.rows,
@@ -106,6 +109,9 @@ class EngineExplain:
             },
             "spans": [span.to_dict() for span in self.spans],
         }
+        if self.closures_verified is not None:
+            payload["closures_verified"] = self.closures_verified
+        return payload
 
 
 def run_traced(
@@ -114,6 +120,7 @@ def run_traced(
     engine_cls: Type[SparkRdfEngine],
     parallelism: int = 4,
     optimizer=None,
+    verify_closures: bool = False,
 ) -> EngineExplain:
     """Load *engine_cls* on a fresh context and execute *query* traced.
 
@@ -123,11 +130,17 @@ def run_traced(
 
     Pass an :class:`~repro.optimizer.Optimizer` to run the cost-based
     path: the trace then carries its ``optimize`` span (chosen order and
-    strategies) and per-step estimated vs. actual row counts.
+    strategies) and per-step estimated vs. actual row counts.  With
+    ``verify_closures=True`` the context enforces the worker-boundary
+    rules at job submission (a violation raises
+    :exc:`repro.analysis.closures.ClosureAnalysisError`) and the result
+    carries the number of closures checked.
     """
     if isinstance(query, str):
         query = parse_sparql(query)
-    sc = SparkContext(default_parallelism=parallelism)
+    sc = SparkContext(
+        default_parallelism=parallelism, verify_closures=verify_closures
+    )
     engine = engine_cls(sc)
     engine.load(graph)
     if optimizer is not None:
@@ -158,6 +171,9 @@ def run_traced(
         rows=rows,
         spans=list(sc.tracer.roots),
         totals=totals,
+        closures_verified=(
+            sc.metrics.get("closures_verified") if verify_closures else None
+        ),
     )
 
 
@@ -174,6 +190,7 @@ def explain(
     route: bool = False,
     route_engines: Optional[Sequence[str]] = None,
     shapes=None,
+    verify_closures: bool = False,
 ) -> str:
     """Side-by-side per-operator cost trees for *query* on *engines*.
 
@@ -188,13 +205,16 @@ def explain(
     bids.  With a :class:`~repro.shacl.shapes.ShapeSet` in ``shapes``, a
     ``shacl:`` block inventories the shape set's compiled validation
     queries and marks the one being explained (if any), placing the
-    query inside the validation fan-out it belongs to.
+    query inside the validation fan-out it belongs to.  With
+    ``verify_closures=True`` every engine context enforces the
+    worker-boundary rules at job submission and a ``closures:`` block
+    reports how many closures each engine cleared.
 
-    Preamble blocks (lint findings, routing decision, shacl inventory,
-    view substitutions) render above the per-engine sections in **sorted
-    key order** -- the order is a stable function of which blocks are
-    non-empty, never of feature flags or evaluation order (pinned by
-    ``tests/test_explain.py``).
+    Preamble blocks (closure verification, lint findings, routing
+    decision, shacl inventory, view substitutions) render above the
+    per-engine sections in **sorted key order** -- the order is a
+    stable function of which blocks are non-empty, never of feature
+    flags or evaluation order (pinned by ``tests/test_explain.py``).
     """
     if isinstance(query, str):
         query = parse_sparql(query)
@@ -213,13 +233,24 @@ def explain(
             views=views,
             view_threshold=view_threshold,
         )
+    # Engine runs happen first: the ``closures:`` preamble block reports
+    # what the verifier actually checked during them.  Section order is
+    # unchanged -- preamble blocks still render above every engine.
     runs: List[EngineExplain] = []
     for engine in engines:
         cls = engine_class(engine) if isinstance(engine, str) else engine
         runs.append(
-            run_traced(graph, query, cls, parallelism, optimizer=optimizer)
+            run_traced(
+                graph,
+                query,
+                cls,
+                parallelism,
+                optimizer=optimizer,
+                verify_closures=verify_closures,
+            )
         )
     preamble: Dict[str, str] = {
+        "closures": _closures_section(runs, verify_closures),
         "lint": _lint_section(
             query, graph, optimizer, optimizer_mode, broadcast_threshold
         ),
@@ -240,6 +271,31 @@ def explain(
     ]
     sections.extend(run.render() for run in runs)
     return "\n\n".join(sections)
+
+
+def _closures_section(
+    runs: Sequence[EngineExplain], verify_closures: bool
+) -> str:
+    """The closure-verification preamble of an EXPLAIN, empty unless
+    asked.
+
+    Every closure a lineage submits was analyzed against the
+    worker-boundary rules (CL000..CL007) before any partition computed;
+    reaching this render at all means none was rejected, so the block
+    simply accounts for the coverage per engine.
+    """
+    if not verify_closures:
+        return ""
+    total = sum(run.closures_verified or 0 for run in runs)
+    lines = [
+        "closures: %d closure(s) verified against the worker-boundary "
+        "rules, 0 rejected" % total
+    ]
+    lines.extend(
+        "  %s: %d verified" % (run.engine, run.closures_verified or 0)
+        for run in runs
+    )
+    return "\n".join(lines)
 
 
 def _lint_section(

@@ -61,6 +61,11 @@ class URI(Term):
     def __setattr__(self, name, val):
         raise AttributeError("URI is immutable")
 
+    def __reduce__(self):
+        # The raising __setattr__ breaks the default slots-state pickle
+        # path; rebuild through the constructor instead.
+        return (URI, (self.value,))
+
     def n3(self) -> str:
         return "<%s>" % self.value
 
@@ -99,6 +104,10 @@ class BNode(Term):
 
     def __setattr__(self, name, val):
         raise AttributeError("BNode is immutable")
+
+    def __reduce__(self):
+        # Pin the label so unpickling never consumes the fresh-label counter.
+        return (BNode, (self.label,))
 
     def n3(self) -> str:
         return "_:%s" % self.label
@@ -145,6 +154,11 @@ class Literal(Term):
 
     def __setattr__(self, name, val):
         raise AttributeError("Literal is immutable")
+
+    def __reduce__(self):
+        # Lexical form is stored as str, so the constructor's coercion
+        # branches are no-ops and the round trip is exact.
+        return (Literal, (self.lexical, self.datatype, self.language))
 
     def n3(self) -> str:
         escaped = (

@@ -38,6 +38,11 @@ class Triple:
     def __setattr__(self, name, value):
         raise AttributeError("Triple is immutable")
 
+    def __reduce__(self):
+        # The raising __setattr__ breaks the default slots-state pickle
+        # path; rebuild through the (validating) constructor instead.
+        return (Triple, (self.subject, self.predicate, self.object))
+
     def as_tuple(self) -> Tuple[Term, Term, Term]:
         return (self.subject, self.predicate, self.object)
 

@@ -83,13 +83,19 @@ def build_context(
     faults: Union[None, str, FaultScheduler] = None,
     max_task_attempts: int = 4,
     speculation: bool = False,
+    verify_closures: bool = False,
 ) -> SparkContext:
-    """A SparkContext from the knob set shared by every entry point."""
+    """A SparkContext from the knob set shared by every entry point.
+
+    ``verify_closures`` opts into worker-boundary enforcement at job
+    submission (see :mod:`repro.analysis.closures`).
+    """
     return SparkContext(
         default_parallelism=parallelism,
         faults=faults,
         max_task_attempts=max_task_attempts,
         speculation=speculation,
+        verify_closures=verify_closures,
     )
 
 
@@ -101,6 +107,7 @@ def build_engine(
     max_task_attempts: int = 4,
     speculation: bool = False,
     ctx: Optional[SparkContext] = None,
+    verify_closures: bool = False,
 ):
     """Resolve, construct, and warm one engine on *graph*.
 
@@ -116,5 +123,6 @@ def build_engine(
             faults=faults,
             max_task_attempts=max_task_attempts,
             speculation=speculation,
+            verify_closures=verify_closures,
         )
     return cls(ctx).load(graph)

@@ -183,6 +183,7 @@ class QueryService:
         view_threshold: Optional[float] = None,
         route: bool = False,
         route_engines: Optional[Sequence[str]] = None,
+        verify_closures: bool = False,
     ) -> None:
         if pool_size <= 0:
             raise ValueError("pool_size must be positive")
@@ -209,6 +210,9 @@ class QueryService:
         self._faults = faults
         self._max_task_attempts = max_task_attempts
         self._speculation = speculation
+        #: Opt-in worker-boundary enforcement on every pooled engine's
+        #: context (see :mod:`repro.analysis.closures`).
+        self.verify_closures = verify_closures
         self._optimize = optimize
         self._optimizer_mode = optimizer_mode
         self._broadcast_threshold = broadcast_threshold
@@ -297,6 +301,7 @@ class QueryService:
             faults=self._fault_schedule(),
             max_task_attempts=self._max_task_attempts,
             speculation=self._speculation,
+            verify_closures=self.verify_closures,
         )
         if self.optimizer is not None:
             engine.set_optimizer(self.optimizer)

@@ -37,6 +37,13 @@ class SparkContext:
     speculation:
         When true, straggling tasks launch a speculative backup copy
         (charged as an extra task plus ``speculative_launches``).
+    verify_closures:
+        Opt-in worker-boundary enforcement: every closure in a job's
+        lineage is analyzed at submission time (rules CL000..CL007,
+        see :mod:`repro.analysis.closures`) and a violating one raises
+        :exc:`repro.analysis.closures.ClosureAnalysisError` instead of
+        running a job that would compute a different answer on a real
+        cluster.  Off by default.
     """
 
     def __init__(
@@ -46,6 +53,7 @@ class SparkContext:
         faults: Union[None, str, FaultScheduler] = None,
         max_task_attempts: int = 4,
         speculation: bool = False,
+        verify_closures: bool = False,
     ) -> None:
         if default_parallelism <= 0:
             raise ValueError("default_parallelism must be positive")
@@ -71,6 +79,13 @@ class SparkContext:
         #: task loop polls it via :meth:`check_deadline` once per
         #: partition computation (see :mod:`repro.spark.deadline`).
         self.deadline: Optional[Deadline] = None
+        #: Opt-in job-submission closure verification (CL000..CL007);
+        #: see :mod:`repro.analysis.closures`.
+        self.verify_closures = bool(verify_closures)
+        #: Closures already cleared by the verifier (id -> function, the
+        #: reference pins the id), so repeated materializations of the
+        #: same lineage re-check nothing.
+        self._verified_closures: dict = {}
         self._rdd_counter = 0
         self._broadcast_counter = 0
 

@@ -67,6 +67,11 @@ class DeadlineExceededError(RuntimeError):
         self.query = query
         super().__init__()
 
+    def __reduce__(self):
+        # Explicit recipe so the error survives pickling (the default
+        # reduce replays empty args).
+        return (DeadlineExceededError, (self.budget, self.spent, self.query))
+
     def __str__(self) -> str:
         message = (
             "deadline exceeded: spent %d cost unit(s) of a %d-unit budget"

@@ -84,6 +84,14 @@ class TaskFailedError(RuntimeError):
         self.engine = engine
         super().__init__()
 
+    def __reduce__(self):
+        # Exceptions with custom __init__ signatures need an explicit
+        # recipe to survive pickling.
+        return (
+            TaskFailedError,
+            (self.stage, self.partition, self.attempts, self.engine),
+        )
+
     def __str__(self) -> str:
         message = (
             "task failed permanently: stage=%d partition=%d after %d "

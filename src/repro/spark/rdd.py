@@ -225,7 +225,21 @@ class RDD:
         self._cached[index] = data
 
     def _materialize(self) -> List[List[Any]]:
-        """Evaluate every partition (filling the cache when requested)."""
+        """Evaluate every partition (filling the cache when requested).
+
+        When the context was built with ``verify_closures=True``, every
+        closure in the lineage is first checked against the
+        worker-boundary rules (CL000..CL007); a violating closure raises
+        :exc:`repro.analysis.closures.ClosureAnalysisError` before any
+        partition computes.
+        """
+        if getattr(self.ctx, "verify_closures", False):
+            # Imported lazily: repro.analysis pulls in the optimizer and
+            # SPARQL stack, which must not load during repro.spark's own
+            # import.
+            from repro.analysis.closures import verify_rdd
+
+            verify_rdd(self)
         return [self._iterate(i) for i in range(self.num_partitions)]
 
     def cache(self) -> "RDD":
@@ -897,32 +911,18 @@ class ShuffledRDD(RDD):
 
     def _do_shuffle(self, span) -> List[List[Any]]:
         """Run the simulated shuffle, charging and (optionally) tracing it."""
-        ctx = self.ctx
         num_out = self.partitioner.num_partitions
         buckets: List[List[Any]] = [[] for _ in range(num_out)]
         records = remote = nbytes = 0
         for map_index in range(self.parent.num_partitions):
-            part = self.parent._iterate(map_index)
-            if self.aggregator is not None:
-                create, merge_value, _merge_combiners = self.aggregator
-                combined: Dict[Any, Any] = {}
-                for key, value in part:
-                    if key in combined:
-                        combined[key] = merge_value(combined[key], value)
-                    else:
-                        combined[key] = create(value)
-                outgoing: Iterable[Tuple[Any, Any]] = combined.items()
-            else:
-                outgoing = part
-            for key, value in outgoing:
-                reduce_index = self.partitioner.partition_for(key)
-                buckets[reduce_index].append((key, value))
-                records += 1
-                nbytes += estimate_size((key, value))
-                if ctx.executor_for(map_index) != ctx.executor_for(
-                    reduce_index
-                ):
-                    remote += 1
+            fragments, map_records, map_remote, map_bytes = (
+                self._map_fragments(map_index)
+            )
+            for reduce_index, fragment in enumerate(fragments):
+                buckets[reduce_index].extend(fragment)
+            records += map_records
+            remote += map_remote
+            nbytes += map_bytes
         if self.aggregator is not None:
             _create, _merge_value, merge_combiners = self.aggregator
             for i, bucket in enumerate(buckets):
@@ -933,12 +933,50 @@ class ShuffledRDD(RDD):
                     else:
                         merged[key] = value
                 buckets[i] = list(merged.items())
-        ctx.metrics.record_shuffle(records, remote, nbytes)
+        self.ctx.metrics.record_shuffle(records, remote, nbytes)
         if span is not None:
             span.attrs["records"] = records
             span.attrs["remote"] = remote
             span.attrs["bytes"] = nbytes
         return buckets
+
+    def _map_fragments(
+        self, map_index: int
+    ) -> Tuple[List[List[Any]], int, int, int]:
+        """One shuffle map task: route one parent partition into per-reduce
+        bucket fragments (with optional map-side combining), counting the
+        records/remote/bytes it contributes.  :meth:`_do_shuffle`
+        concatenates the fragments in map order.
+
+        Kept as its own method on purpose: inlining this loop into
+        :meth:`_do_shuffle` made the GraphFrames-RDF
+        ``snowflake/department_members`` query 2.5x slower (CPython 3.11
+        on a 2-vCPU x86 host), with identical call counts.
+        """
+        ctx = self.ctx
+        num_out = self.partitioner.num_partitions
+        fragments: List[List[Any]] = [[] for _ in range(num_out)]
+        records = remote = nbytes = 0
+        part = self.parent._iterate(map_index)
+        if self.aggregator is not None:
+            create, merge_value, _merge_combiners = self.aggregator
+            combined: Dict[Any, Any] = {}
+            for key, value in part:
+                if key in combined:
+                    combined[key] = merge_value(combined[key], value)
+                else:
+                    combined[key] = create(value)
+            outgoing: Iterable[Tuple[Any, Any]] = combined.items()
+        else:
+            outgoing = part
+        for key, value in outgoing:
+            reduce_index = self.partitioner.partition_for(key)
+            fragments[reduce_index].append((key, value))
+            records += 1
+            nbytes += estimate_size((key, value))
+            if ctx.executor_for(map_index) != ctx.executor_for(reduce_index):
+                remote += 1
+        return fragments, records, remote, nbytes
 
     def compute(self, index: int) -> List[Any]:
         return list(self._ensure_shuffled()[index])

@@ -45,6 +45,10 @@ class Row:
         raise TypeError("Row indices must be int or str, not %r" % type(key))
 
     def __getattr__(self, name: str) -> Any:
+        if name.startswith("_"):
+            # Guard against recursion while the slots are still unset
+            # (pickle probes dunders before __init__ has run).
+            raise AttributeError(name)
         try:
             return self._values[self._fields.index(name)]
         except ValueError:
@@ -52,6 +56,9 @@ class Row:
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Row is immutable")
+
+    def __reduce__(self):
+        return (Row, (self._fields, self._values))
 
     def get(self, key: str, default: Any = None) -> Any:
         try:

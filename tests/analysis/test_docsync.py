@@ -198,17 +198,17 @@ class TestRules:
         path = os.path.join(str(tmp_path), "docs", "ANALYSIS.md")
         with open(path, encoding="utf-8") as handle:
             body = handle.read()
-        # Drop the DS001 row and add a phantom DS999 row.
-        body = body.replace("| DS001 | error | pinned |\n", "")
-        body += "| DS999 | error | ghost |\n"
+        # Drop the CL000 row and add a phantom CL999 row.
+        body = body.replace("| CL000 | error | pinned |\n", "")
+        body += "| CL999 | error | ghost |\n"
         write(tmp_path, "docs/ANALYSIS.md", body)
         messages = [
             d.message
             for d in check_root(str(tmp_path)).diagnostics
             if d.code == "DS006"
         ]
-        assert any("DS001" in m and "no catalog row" in m for m in messages)
-        assert any("DS999" in m and "no analyzer registers" in m for m in messages)
+        assert any("CL000" in m and "no catalog row" in m for m in messages)
+        assert any("CL999" in m and "no analyzer registers" in m for m in messages)
 
     def test_missing_readme_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

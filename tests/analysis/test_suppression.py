@@ -1,5 +1,5 @@
 """The shared ``# repro: allow(CODE)`` suppression contract, proven
-uniformly across all three analyzers.
+uniformly across all four analyzers.
 
 For every suppressible rule code the same three facts must hold:
 
@@ -21,6 +21,7 @@ import textwrap
 
 import pytest
 
+from repro.analysis.closures import check_source as closures_check
 from repro.analysis.determinism import check_source as determinism_check
 from repro.analysis.docsync import check_root, registered_rule_codes
 from repro.analysis.docsync import render_cli_reference
@@ -32,7 +33,7 @@ def codes_of(report):
 
 
 # ---------------------------------------------------------------------------
-# The source-level analyzer: determinism
+# Source-level analyzers: determinism and closures
 # ---------------------------------------------------------------------------
 
 #: code -> a source template with ``%s`` where the allow comment goes
@@ -64,20 +65,95 @@ DETERMINISM_TRIGGERS = {
         """,
 }
 
-def _source_report(template, allow):
+CLOSURE_PRELUDE = """
+    from repro.spark.context import SparkContext
+
+    sc = SparkContext(4)
+    rdd = sc.parallelize(range(10))
+"""
+
+CLOSURE_TRIGGERS = {
+    "CL000": """
+        out = rdd.map(lambda x: sc.parallelize([x]).count()).collect()%s
+        """,
+    "CL001": """
+        seen = {}
+        rdd.foreach(lambda x: seen.update({x: 1}))%s
+        """,
+    "CL002": """
+        acc = sc.accumulator(0)
+        out = rdd.map(lambda x: x + acc.value).collect()%s
+        """,
+    "CL003": """
+        table = sc.broadcast({"a": 1})
+        table.value["b"] = 2%s
+        """,
+    "CL004": """
+        class TwoArgError(ValueError):
+            def __init__(self, a, b):
+                super().__init__(a)
+
+        def guard(x):
+            if x < 0:
+                raise TwoArgError(x, "neg")%s
+            return x
+        out = rdd.map(guard).collect()
+        """,
+    "CL005": """
+        pending = []
+        for p in ("a", "b"):
+            pending.append(rdd.filter(lambda t: t == p))%s
+        """,
+    "CL006": """
+        TOTAL = 0
+        def bump(x):
+            global TOTAL%s
+            TOTAL += x  # repro: allow(CL001)
+        rdd.foreach(bump)
+        """,
+    "CL007": """
+        acc = sc.accumulator(0)
+        def peek(x):
+            return x + acc.value  # repro: allow(CL002)
+        out = rdd.map(lambda x: peek(x)).collect()%s
+        """,
+}
+
+
+def _source_report(checker, prelude, template, allow):
     comment = "  # repro: allow(%s)" % allow if allow else ""
-    return determinism_check("mod.py", textwrap.dedent(template % comment))
+    source = textwrap.dedent(prelude) + textwrap.dedent(template % comment)
+    return checker("mod.py", source)
+
+
+OTHER = {"DT": "DT999", "CL": "CL999", "QL": "QL999", "DS": "DS999"}
 
 
 class TestSourceAnalyzers:
-    @pytest.mark.parametrize("code", sorted(DETERMINISM_TRIGGERS))
+    @pytest.mark.parametrize(
+        "code",
+        sorted(DETERMINISM_TRIGGERS) + sorted(CLOSURE_TRIGGERS),
+    )
     def test_allow_suppresses_exactly_the_named_code(self, code):
-        template = DETERMINISM_TRIGGERS[code]
-        bare = _source_report(template, None)
+        if code.startswith("DT"):
+            checker, prelude, template = (
+                determinism_check,
+                "",
+                DETERMINISM_TRIGGERS[code],
+            )
+        else:
+            checker, prelude, template = (
+                closures_check,
+                CLOSURE_PRELUDE,
+                CLOSURE_TRIGGERS[code],
+            )
+        bare = _source_report(checker, prelude, template, None)
         assert code in codes_of(bare), "trigger fixture must fire"
-        named = _source_report(template, code)
+        named = _source_report(checker, prelude, template, code)
         assert code not in codes_of(named), "allow(code) must suppress"
-        other = _source_report(template, "DT999")
+        other = _source_report(
+            checker, prelude, template, OTHER[code[:2]]
+        )
         assert code in codes_of(other), "allow(other) must not suppress"
 
 
@@ -186,10 +262,10 @@ class TestDocsync:
         assert "DS004" in codes_of(check_root(root2))
 
     def test_ds006_allow(self, tmp_path):
-        row = "| QL999 | error | ghost | <!-- repro: allow(DS006) -->"
+        row = "| CL999 | error | ghost | <!-- repro: allow(DS006) -->"
         root = _docs_root(tmp_path, analysis_extra=row + "\n")
         assert "DS006" not in codes_of(check_root(root))
         root2 = _docs_root(
-            tmp_path / "bare", analysis_extra="| QL998 | error | ghost |\n"
+            tmp_path / "bare", analysis_extra="| CL998 | error | ghost |\n"
         )
         assert "DS006" in codes_of(check_root(root2))

@@ -1,24 +1,16 @@
-"""CONSTRUCT pages are byte-identical under every executor backend.
+"""CONSTRUCT pages are byte-identical at every degree of parallelism.
 
-The harvester never sees which backend served a page, so pages fetched
-from an in-process endpoint must match byte-for-byte whether the remote
-service executes partition tasks serially or across 1, 2, or 4 worker
-processes -- otherwise a harvest could stitch together backend-flavored
+The harvester never sees how the remote service partitions its data, so
+pages fetched from an in-process endpoint must match byte-for-byte
+whether the remote engines split the graph into 1, 2, or 4 partitions
+-- otherwise a harvest could stitch together partitioning-flavored
 pages and the differential validation property would be vacuous.
 """
-
-import pytest
 
 from repro.federation import Subgraph
 from repro.federation.endpoint import pair_endpoint
 from repro.server.protocol import canonical_json
 from repro.server.service import QueryRequest, QueryService
-from repro.spark.parallel import parallel_available
-
-pytestmark = pytest.mark.skipif(
-    not parallel_available(),
-    reason="parallel backend needs the fork start method",
-)
 
 LUBM = "http://repro.example.org/lubm#"
 HARVEST = (
@@ -46,13 +38,12 @@ def _page_bytes(service) -> list:
 class TestBackendIdentity:
     def test_pages_identical_across_worker_counts(self, lubm_graph):
         baseline = _page_bytes(QueryService(lubm_graph.copy()))
+        assert all('"triples":["<' in page for page in baseline)
         for workers in WORKERS:
             pages = _page_bytes(
-                QueryService(
-                    lubm_graph.copy(), backend="parallel", workers=workers
-                )
+                QueryService(lubm_graph.copy(), parallelism=workers)
             )
-            assert pages == baseline, "workers=%d diverged" % workers
+            assert pages == baseline, "parallelism=%d diverged" % workers
 
     def test_harvest_identical_across_backends(self, lubm_graph):
         def harvested(**service_kwargs):
@@ -62,6 +53,4 @@ class TestBackendIdentity:
             return canonical_json(subgraph.query(HARVEST))
 
         baseline = harvested()
-        assert (
-            harvested(backend="parallel", workers=2) == baseline
-        )
+        assert harvested(parallelism=2) == baseline

@@ -2,7 +2,8 @@
 
 The contract under test (docs/ROUTING.md): routing chooses *where* a
 query runs, never *what* it answers -- payload bytes with ``route=True``
-are identical to the fixed-engine service for every corpus query.
+are identical to the fixed-engine service for every corpus query, at
+any degree of parallelism.
 """
 
 import glob
@@ -166,3 +167,42 @@ class TestCustomPools:
 
 def routed_stats_fallbacks(service):
     return service.stats()["routing"]["fallback_decisions"]
+
+
+class TestParallelBackend:
+    """Routing decisions and wire bytes are invariant to the service's
+    parallelism (how many partitions every pooled engine splits its
+    data into)."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parallel_matches_oracle(self, lubm_graph, workers):
+        queries = [read_query(path) for path in CORPUS[:4]]
+        oracle = QueryService(lubm_graph, route=True, pool_size=1)
+        parallel = QueryService(
+            lubm_graph, route=True, pool_size=1, parallelism=workers
+        )
+        for text in queries:
+            expected = oracle.submit(QueryRequest(text=text))
+            actual = parallel.submit(QueryRequest(text=text))
+            assert actual.engine == expected.engine
+            assert actual.payload == expected.payload
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("workers", [4])
+    def test_parallel_full_corpus(self, lubm_graph, workers):
+        oracle = QueryService(
+            lubm_graph, route=True, pool_size=1, parallelism=1
+        )
+        parallel = QueryService(
+            lubm_graph, route=True, pool_size=1, parallelism=workers
+        )
+        for path in CORPUS:
+            text = read_query(path)
+            expected = oracle.submit(QueryRequest(text=text))
+            actual = parallel.submit(QueryRequest(text=text))
+            assert actual.engine == expected.engine
+            assert actual.payload == expected.payload
+        assert (
+            parallel.stats()["routing"]["decisions"]
+            == oracle.stats()["routing"]["decisions"]
+        )

@@ -1,10 +1,14 @@
-"""Unit tests for the parallel executor backend (repro.spark.parallel).
+"""Unit tests for the executor's cluster shape and its task boundary.
 
-The differential suites prove end-to-end byte-identity; this file pins
-the individual mechanisms that identity rests on: backend construction
-and validation, genuinely out-of-driver execution, the deterministic
-merge protocol (metrics, accumulators), typed error shipping across the
-process boundary, deadline aborts, and cache installation.
+Partitions are evaluated serially, in index order, in the driver
+process; ``num_executors`` only decides which virtual worker hosts each
+partition (``i % num_executors``), and so which shuffle records are
+remote and how many copies a broadcast ships.  The differential suites
+prove end-to-end byte-identity across worker counts; this file pins the
+individual mechanisms that identity rests on: shape validation,
+in-driver execution, placement-only metric differences, accumulators,
+typed errors at the task boundary, deadline aborts, cache reuse, and the
+picklability of the values tasks produce.
 """
 
 import os
@@ -17,86 +21,75 @@ from repro.rdf.triple import Triple
 from repro.spark.context import SparkContext
 from repro.spark.deadline import DeadlineExceededError
 from repro.spark.faults import TaskFailedError
-from repro.spark.metrics import MetricsCollector
-from repro.spark.parallel import (
-    BackendConfigError,
-    InProcessBackend,
-    ParallelBackend,
-    build_backend,
-    parallel_available,
-)
 from repro.spark.row import Row
 
-needs_fork = pytest.mark.skipif(
-    not parallel_available(),
-    reason="parallel backend needs the fork start method",
-)
+#: Counters that depend on which virtual executor hosts a partition.
+PLACEMENT_COUNTERS = ("shuffle_remote_records", "broadcast_bytes")
+
+
+def algorithmic(snapshot):
+    return {
+        name: value
+        for name, value in snapshot
+        if name not in PLACEMENT_COUNTERS
+    }
 
 
 # ----------------------------------------------------------------------
-# Backend construction and validation
+# Cluster shape
 # ----------------------------------------------------------------------
-
-
-def test_build_backend_inprocess_default():
-    backend = build_backend("inprocess", None)
-    assert isinstance(backend, InProcessBackend)
-    assert backend.name == "inprocess"
-    assert backend.workers == 1
-
-
-@needs_fork
-def test_build_backend_parallel():
-    backend = build_backend("parallel", 3)
-    assert isinstance(backend, ParallelBackend)
-    assert backend.name == "parallel"
-    assert backend.workers == 3
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(BackendConfigError):
-        build_backend("yarn", None)
 
 
 def test_zero_workers_rejected():
-    with pytest.raises(BackendConfigError):
-        build_backend("parallel", 0)
+    with pytest.raises(ValueError):
+        SparkContext(4, num_executors=0)
 
 
-def test_workers_ignored_by_inprocess_backend():
-    # Documented contract (--workers help text): the serial oracle has
-    # exactly one executor regardless of the requested pool size.
-    backend = build_backend("inprocess", 4)
-    assert isinstance(backend, InProcessBackend)
-    assert backend.workers == 1
+def test_unknown_backend_rejected(capsys):
+    # Partitions always run in the driver; there is no executor backend
+    # to choose, and a caller that asks for one is told so instead of
+    # being silently ignored.
+    from repro.cli import main
+    from repro.runtime import build_context
+
+    with pytest.raises(TypeError):
+        SparkContext(4, backend="parallel")
+    with pytest.raises(TypeError):
+        build_context(backend="parallel")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["assess", "data.nt", "--backend", "parallel"])
+    assert excinfo.value.code == 2
+    assert "--backend" in capsys.readouterr().err
 
 
 def test_context_exposes_backend_knobs():
+    # One executor per partition by default; an explicit worker count
+    # wraps partitions round-robin over the virtual machines.
     sc = SparkContext(4)
-    assert sc.backend == "inprocess"
-    assert sc.workers == 1
+    assert (sc.default_parallelism, sc.num_executors) == (4, 4)
+    spread = SparkContext(4, num_executors=2)
+    assert spread.num_executors == 2
+    assert [spread.executor_for(i) for i in range(5)] == [0, 1, 0, 1, 0]
 
 
 # ----------------------------------------------------------------------
-# Real out-of-driver execution
+# In-driver execution
 # ----------------------------------------------------------------------
 
 
-@needs_fork
-def test_tasks_actually_run_in_worker_processes():
-    sc = SparkContext(default_parallelism=4, backend="parallel", workers=2)
+def test_workers_ignored_by_inprocess_backend():
+    # Virtual workers are an accounting device: whatever the count,
+    # every task runs in the driver process.
+    sc = SparkContext(default_parallelism=4, num_executors=4)
     driver_pid = os.getpid()
     pids = set(
         sc.parallelize(list(range(8)), 4).map(lambda _: os.getpid()).collect()
     )
-    assert pids and driver_pid not in pids
+    assert pids == {driver_pid}
 
 
-@needs_fork
 def test_single_partition_stage_stays_in_the_driver():
-    # One task cannot benefit from a pool; the backend runs it on the
-    # oracle path instead of paying a pointless fork.
-    sc = SparkContext(default_parallelism=4, backend="parallel", workers=2)
+    sc = SparkContext(default_parallelism=4, num_executors=2)
     driver_pid = os.getpid()
     pids = set(
         sc.parallelize([1, 2, 3], 1).map(lambda _: os.getpid()).collect()
@@ -104,56 +97,30 @@ def test_single_partition_stage_stays_in_the_driver():
     assert pids == {driver_pid}
 
 
-@needs_fork
 def test_shuffle_results_match_inprocess():
     data = [(i % 5, i) for i in range(40)]
-    serial = (
-        SparkContext(4)
-        .parallelize(data, 4)
-        .reduceByKey(lambda a, b: a + b)
-        .collect()
-    )
-    parallel = (
-        SparkContext(4, backend="parallel", workers=4)
-        .parallelize(data, 4)
-        .reduceByKey(lambda a, b: a + b)
-        .collect()
-    )
-    assert parallel == serial
+    expected = {}
+    for key, value in data:
+        expected[key] = expected.get(key, 0) + value
+
+    def job(workers):
+        return (
+            SparkContext(4, num_executors=workers)
+            .parallelize(data, 4)
+            .reduceByKey(lambda a, b: a + b)
+            .collect()
+        )
+
+    single = job(1)
+    assert dict(single) == expected
+    assert job(4) == single
 
 
 # ----------------------------------------------------------------------
-# Deterministic metrics merge
+# Placement-only metric differences
 # ----------------------------------------------------------------------
 
 
-def test_merge_delta_is_order_independent():
-    # Workers report in completion order, which is nondeterministic; the
-    # merged collector must not depend on it -- including the counter
-    # *insertion* order, which leaks into every snapshot iteration.
-    deltas = [
-        [("shuffle_records", 3), ("records_scanned", 7)],
-        [("join_comparisons", 2)],
-        [("records_scanned", 1), ("broadcast_bytes", 5)],
-    ]
-    first = MetricsCollector()
-    for delta in deltas:
-        first.merge_delta(delta)
-    second = MetricsCollector()
-    for delta in reversed(deltas):
-        second.merge_delta(delta)
-    assert dict(first.snapshot()) == dict(second.snapshot())
-    assert list(first.snapshot()) == list(second.snapshot())
-
-
-def test_merge_delta_accepts_mappings_and_skips_zeros():
-    collector = MetricsCollector()
-    collector.merge_delta({"records_scanned": 4, "shuffle_records": 0})
-    flat = {name: value for name, value in collector.snapshot() if value}
-    assert flat == {"records_scanned": 4}
-
-
-@needs_fork
 def test_parallel_metrics_equal_serial_metrics():
     def job(sc):
         return (
@@ -162,12 +129,15 @@ def test_parallel_metrics_equal_serial_metrics():
             .collect()
         )
 
-    serial_sc = SparkContext(4)
-    parallel_sc = SparkContext(4, backend="parallel", workers=3)
-    assert job(parallel_sc) == job(serial_sc)
-    assert dict(parallel_sc.metrics.snapshot()) == dict(
-        serial_sc.metrics.snapshot()
+    single_sc = SparkContext(4, num_executors=1)
+    spread_sc = SparkContext(4, num_executors=3)
+    assert job(spread_sc) == job(single_sc)
+    assert algorithmic(spread_sc.metrics.snapshot()) == algorithmic(
+        single_sc.metrics.snapshot()
     )
+    # On one machine no shuffle record changes executor.
+    assert single_sc.metrics.get("shuffle_remote_records") == 0
+    assert spread_sc.metrics.get("shuffle_remote_records") > 0
 
 
 # ----------------------------------------------------------------------
@@ -175,34 +145,32 @@ def test_parallel_metrics_equal_serial_metrics():
 # ----------------------------------------------------------------------
 
 
-@needs_fork
 def test_accumulator_updates_cross_the_process_boundary():
-    sc = SparkContext(4, backend="parallel", workers=2)
+    # Adds made inside tasks reach the driver-side value once the action
+    # returns, from every partition.
+    sc = SparkContext(4, num_executors=2)
     acc = sc.accumulator(0)
     sc.parallelize(list(range(20)), 4).foreach(lambda x: acc.add(x))
     assert acc.value == sum(range(20))
 
 
-@needs_fork
 def test_accumulator_merge_matches_serial():
     def job(sc):
         acc = sc.accumulator(0)
         sc.parallelize(list(range(12)), 4).foreach(lambda x: acc.add(1))
         return acc.value
 
-    assert job(SparkContext(4, backend="parallel", workers=4)) == job(
-        SparkContext(4)
-    )
+    assert job(SparkContext(4, num_executors=4)) == 12
+    assert job(SparkContext(4, num_executors=1)) == 12
 
 
 # ----------------------------------------------------------------------
-# Error shipping
+# Errors at the task boundary
 # ----------------------------------------------------------------------
 
 
-@needs_fork
 def test_worker_exceptions_arrive_typed():
-    sc = SparkContext(4, backend="parallel", workers=2)
+    sc = SparkContext(4, num_executors=2)
 
     def boom(x):
         if x == 5:
@@ -213,17 +181,16 @@ def test_worker_exceptions_arrive_typed():
         sc.parallelize(list(range(8)), 4).map(boom).collect()
 
 
-@needs_fork
 def test_task_failed_error_crosses_the_boundary():
     sc = SparkContext(
         4,
-        backend="parallel",
-        workers=2,
+        num_executors=2,
         faults="fail:p=1.0;seed=1",
         max_task_attempts=2,
     )
-    with pytest.raises(TaskFailedError):
+    with pytest.raises(TaskFailedError) as excinfo:
         sc.parallelize(list(range(8)), 4).map(lambda x: x).collect()
+    assert excinfo.value.attempts == 2
 
 
 def test_fault_and_deadline_errors_pickle_round_trip():
@@ -240,9 +207,7 @@ def test_fault_and_deadline_errors_pickle_round_trip():
 
 def test_immutable_rdf_terms_pickle_round_trip():
     # The raising __setattr__ on terms breaks default slots unpickling;
-    # __reduce__ reconstructs through __init__ instead.  Workers ship
-    # these in every result payload, so a regression here bricks the
-    # whole backend.
+    # __reduce__ reconstructs through __init__ instead.
     for term in (
         URI("http://example.org/x"),
         BNode("b0"),
@@ -271,10 +236,9 @@ def test_row_pickle_round_trip():
 # ----------------------------------------------------------------------
 
 
-@needs_fork
 def test_deadline_abort_matches_serial_semantics():
-    def run(backend, workers=None):
-        sc = SparkContext(4, backend=backend, workers=workers)
+    def run(workers):
+        sc = SparkContext(4, num_executors=workers)
         data = sc.parallelize(list(range(400)), 8)
         sc.set_deadline(5)
         try:
@@ -283,34 +247,34 @@ def test_deadline_abort_matches_serial_semantics():
             return type(exc).__name__
         return None
 
-    assert run("parallel", 2) == run("inprocess") == "DeadlineExceededError"
+    assert run(2) == run(1) == "DeadlineExceededError"
 
 
 # ----------------------------------------------------------------------
-# Cache installation
+# Cache reuse
 # ----------------------------------------------------------------------
 
 
-@needs_fork
 def test_cached_partitions_install_on_the_driver():
-    sc = SparkContext(4, backend="parallel", workers=2)
+    sc = SparkContext(4, num_executors=2)
     rdd = sc.parallelize(list(range(16)), 4).map(lambda x: x * 2).cache()
     first = rdd.collect()
     scanned_after_first = sc.metrics.snapshot().records_scanned
     second = rdd.collect()
     assert second == first
-    # The second collect served from the driver-installed cache: no new
-    # scan work, exactly like the serial backend.
+    assert rdd.is_cached
+    # The second collect served from the cache: no new scan work.
     assert sc.metrics.snapshot().records_scanned == scanned_after_first
 
 
-@needs_fork
 def test_cache_contents_match_serial_backend():
-    def job(sc):
-        rdd = sc.parallelize(list(range(10)), 4).map(lambda x: x + 1).cache()
-        rdd.collect()
+    def job(sc, cache):
+        rdd = sc.parallelize(list(range(10)), 4).map(lambda x: x + 1)
+        if cache:
+            rdd = rdd.cache()
+            rdd.collect()
         return rdd.collect()
 
-    assert job(SparkContext(4, backend="parallel", workers=2)) == job(
-        SparkContext(4)
-    )
+    expected = job(SparkContext(4), cache=False)
+    assert expected == list(range(1, 11))
+    assert job(SparkContext(4, num_executors=2), cache=True) == expected

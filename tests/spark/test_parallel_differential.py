@@ -1,13 +1,16 @@
-"""Oracle-differential: the parallel backend must be byte-invisible.
+"""Oracle-differential: the shape of the virtual cluster must be byte-invisible.
 
-The in-process backend is the byte-exact oracle.  Every engine, on every
+The simulator spreads partitions over ``num_executors`` virtual worker
+machines (partition *i* lives on executor ``i % num_executors``).  That
+placement decides which shuffle records cross machines and how many
+copies a broadcast ships -- and nothing else.  Every engine, on every
 query of the shared workload, must produce a canonical wire-form answer
 (:func:`repro.server.protocol.canonical_result` rendered through
-:func:`canonical_json`) that is byte-identical whether partition tasks
-ran serially in the driver or on a forked worker pool -- for every pool
-size, and with the cost-based optimizer and materialized ExtVP views
-switched on.  Merged driver-side metrics must be invariant too: the
-counters are a deterministic function of the plan, not of scheduling.
+:func:`canonical_json`) that is byte-identical to the default cluster's
+(one executor per partition) for every worker count, and with the
+cost-based optimizer and materialized ExtVP views switched on.  The
+algorithmic counters must be invariant too: only the two placement
+counters may move with the worker count.
 
 CI runs the 2-worker column of the matrix; the full workers x optimizer
 sweep carries the ``slow`` marker and runs on the scheduled job.
@@ -20,19 +23,18 @@ import pytest
 from repro.data.lubm import LubmGenerator
 from repro.server.protocol import canonical_json, canonical_result
 from repro.spark.context import SparkContext
-from repro.spark.parallel import parallel_available
 from repro.sparql.parser import parse_sparql
 from repro.systems import ALL_ENGINE_CLASSES, NaiveEngine
 
-pytestmark = pytest.mark.skipif(
-    not parallel_available(),
-    reason="parallel backend needs the fork start method",
-)
-
 ENGINES = (NaiveEngine,) + ALL_ENGINE_CLASSES
 
-#: Worker counts the full (slow) sweep exercises; CI keeps to 2.
+#: Worker (virtual executor) counts the full (slow) sweep exercises; CI
+#: keeps to 2.
 ALL_WORKERS = (1, 2, 4)
+
+#: The counters that depend on partition placement: shuffle records that
+#: change executor, and the per-executor copies of every broadcast.
+PLACEMENT_COUNTERS = ("shuffle_remote_records", "broadcast_bytes")
 
 _EXAMPLES_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
@@ -71,11 +73,21 @@ def _optimizer(graph, views=False):
     return Optimizer.for_graph(graph, views=views)
 
 
+def algorithmic(counters):
+    """*counters* without the placement-dependent ones."""
+    if counters is None:
+        return None
+    return {
+        name: value
+        for name, value in counters.items()
+        if name not in PLACEMENT_COUNTERS
+    }
+
+
 def run_canonical(
     engine_class,
     graph,
     query,
-    backend="inprocess",
     workers=None,
     optimize=False,
     views=False,
@@ -83,12 +95,14 @@ def run_canonical(
 ):
     """(canonical JSON bytes, metrics counters) for one execution.
 
-    Returns (None, None) when the engine's fragment does not cover the
-    query -- support is a property of the plan, so it cannot differ
-    between backends.  Pass a prebuilt ``optimizer`` to skip the
-    per-run catalog/view build (it is engine- and backend-independent).
+    ``workers`` is the number of virtual executors (``None`` keeps the
+    default of one per partition).  Returns (None, None) when the
+    engine's fragment does not cover the query -- support is a property
+    of the plan, so it cannot differ between cluster shapes.  Pass a
+    prebuilt ``optimizer`` to skip the per-run catalog/view build (it is
+    engine- and cluster-independent).
     """
-    ctx = SparkContext(4, backend=backend, workers=workers)
+    ctx = SparkContext(4, num_executors=workers)
     engine = engine_class(ctx)
     engine.load(graph)
     if optimizer is not None:
@@ -110,7 +124,7 @@ def parsed_workload():
 
 @pytest.fixture(scope="module")
 def oracle(lubm_graph, parsed_workload):
-    """In-process canonical bytes and counters per (engine, query)."""
+    """Default-cluster canonical bytes and counters per (engine, query)."""
     answers = {}
     for engine_class in ENGINES:
         for name, query in parsed_workload.items():
@@ -132,14 +146,13 @@ def test_parallel_matches_oracle_bytes(
         engine_class,
         lubm_graph,
         parsed_workload[query_name],
-        backend="parallel",
         workers=2,
     )
     if expected_payload is None:
         assert payload is None
         pytest.skip("engine fragment does not cover this query")
     assert payload == expected_payload
-    assert counters == expected_counters
+    assert algorithmic(counters) == algorithmic(expected_counters)
 
 
 @pytest.mark.slow
@@ -156,11 +169,10 @@ def test_parallel_matches_oracle_across_pool_sizes(
         engine_class,
         lubm_graph,
         parsed_workload[query_name],
-        backend="parallel",
         workers=workers,
     )
     assert payload == expected_payload
-    assert counters == expected_counters
+    assert algorithmic(counters) == algorithmic(expected_counters)
 
 
 @pytest.mark.parametrize("views", [False, True], ids=["optimize", "views"])
@@ -168,32 +180,32 @@ def test_parallel_matches_oracle_under_optimizer(
     views, lubm_graph, parsed_workload
 ):
     # The optimizer rewrites join orders and substitutes ExtVP views;
-    # the backend must be invisible through that whole pipeline too.
+    # the cluster shape must be invisible through that whole pipeline.
     query = parsed_workload["complex"]
-    expected = run_canonical(
+    expected_payload, expected_counters = run_canonical(
         NaiveEngine, lubm_graph, query, optimize=True, views=views
     )
-    got = run_canonical(
+    payload, counters = run_canonical(
         NaiveEngine,
         lubm_graph,
         query,
-        backend="parallel",
         workers=2,
         optimize=True,
         views=views,
     )
-    assert got == expected
+    assert payload == expected_payload
+    assert algorithmic(counters) == algorithmic(expected_counters)
 
 
 @pytest.fixture(scope="module")
 def view_optimizer(lubm_graph):
-    """One shared views-enabled optimizer: engine/backend-independent."""
+    """One shared views-enabled optimizer: engine/cluster-independent."""
     return _optimizer(lubm_graph, views=True)
 
 
 @pytest.fixture(scope="module")
 def views_oracle(lubm_graph, parsed_workload, view_optimizer):
-    """In-process canonical bytes/counters with views substituted."""
+    """Default-cluster canonical bytes/counters with views substituted."""
     answers = {}
     for engine_class in ENGINES:
         for name, query in parsed_workload.items():
@@ -214,32 +226,38 @@ def test_parallel_matches_oracle_with_views(
     views_oracle,
     view_optimizer,
 ):
-    got = run_canonical(
+    payload, counters = run_canonical(
         engine_class,
         lubm_graph,
         parsed_workload[query_name],
-        backend="parallel",
         workers=2,
         optimizer=view_optimizer,
     )
-    assert got == views_oracle[(engine_class.profile.name, query_name)]
+    expected_payload, expected_counters = views_oracle[
+        (engine_class.profile.name, query_name)
+    ]
+    assert payload == expected_payload
+    assert algorithmic(counters) == algorithmic(expected_counters)
 
 
 def test_metrics_invariant_to_worker_count(lubm_graph, parsed_workload):
-    # Scheduling must not leak into the cost model: the merged counters
-    # are identical for every pool size, not merely the result bytes.
+    # Placement must not leak into the algorithmic cost model: every
+    # counter but the placement pair is identical for every worker
+    # count, and those two move the way placement says they must.
     query = parsed_workload["snowflake"]
-    baselines = [
-        run_canonical(
-            NaiveEngine,
-            lubm_graph,
-            query,
-            backend="parallel",
-            workers=workers,
+    runs = {
+        workers: run_canonical(
+            NaiveEngine, lubm_graph, query, workers=workers
         )[1]
         for workers in ALL_WORKERS
-    ]
-    assert baselines[0] == baselines[1] == baselines[2]
+    }
+    assert (
+        algorithmic(runs[1]) == algorithmic(runs[2]) == algorithmic(runs[4])
+    )
+    # One machine: no shuffle record ever changes executor.
+    assert runs[1]["shuffle_records"] > 0
+    assert runs[1].get("shuffle_remote_records", 0) == 0
+    assert runs[4]["shuffle_remote_records"] > 0
 
 
 def test_oracle_answers_are_nonempty(oracle):

@@ -5,7 +5,10 @@ one closes the gap with generated inputs.  For every random small graph
 and random connected basic graph pattern, SPARQLGX (vertical
 partitioning) must produce the exact canonical wire bytes the Naive
 scan-join oracle produces, and an engine's answer must not depend on
-how many partitions the data is split into.
+how many partitions the data is split into or how many virtual workers
+host them: a single partition on a single executor (the whole job in
+one process) is the oracle every spread-out layout must reproduce,
+with the algorithmic counters invariant to the worker count.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -70,23 +73,39 @@ def build_bgp(raw_shapes):
     )
 
 
-def run_canonical(engine_class, graph, query, parallelism=4):
-    engine = engine_class(SparkContext(parallelism))
+def run_canonical(engine_class, graph, query, parallelism=4, workers=None):
+    return run_counted(engine_class, graph, query, parallelism, workers)[0]
+
+
+def run_counted(engine_class, graph, query, parallelism=4, workers=None):
+    """(canonical bytes, records scanned, shuffle records) for one run."""
+    ctx = SparkContext(parallelism, num_executors=workers)
+    engine = engine_class(ctx)
     engine.load(graph)
     result = engine.execute(query)
-    return canonical_json(canonical_result(result, query))
+    counters = ctx.metrics.snapshot()
+    return (
+        canonical_json(canonical_result(result, query)),
+        counters.records_scanned,
+        counters.shuffle_records,
+    )
 
 
 @given(raw_edges=edges, raw_shapes=shapes)
 @settings(max_examples=25, deadline=None)
-def test_answers_invariant_to_partition_count_on_random_bgps(
-    raw_edges, raw_shapes
-):
+def test_parallel_equals_inprocess_on_random_bgps(raw_edges, raw_shapes):
     graph = build_graph(raw_edges)
     query = parse_sparql(build_bgp(raw_shapes))
-    oracle = run_canonical(NaiveEngine, graph, query)
-    for parallelism in (1, 3):
+    oracle = run_canonical(NaiveEngine, graph, query, 1, workers=1)
+    for parallelism in (3, 4):
         assert run_canonical(NaiveEngine, graph, query, parallelism) == oracle
+    # Placement is not allowed to leak into the algorithmic counters.
+    spread = [
+        run_counted(NaiveEngine, graph, query, 4, workers)
+        for workers in (1, 2, 3)
+    ]
+    assert spread[0] == spread[1] == spread[2]
+    assert spread[0][0] == oracle
 
 
 @given(raw_edges=edges, raw_shapes=shapes)

@@ -99,15 +99,28 @@ class TestRejections:
         )
 
     def test_parallel_backend_also_enforces(self):
-        sc = make_ctx(backend="parallel", workers=2)
+        # A job spread over several workers, with the violation inside a
+        # shuffle's aggregator rather than a narrow map, is still gated
+        # before any partition computes.
+        sc = make_ctx(num_executors=2)
         seen = []
-        rdd = sc.parallelize([1, 2, 3]).map(lambda x: seen.append(x))
-        with pytest.raises(ClosureAnalysisError):
+
+        def merge(a, b):
+            seen.append(a)
+            return a + b
+
+        pairs = sc.parallelize([1, 2, 3, 4], 4).keyBy(lambda x: x % 2)
+        rdd = pairs.reduceByKey(merge)
+        with pytest.raises(ClosureAnalysisError) as excinfo:
             rdd.collect()
+        assert any(
+            d.code == "CL001" for d in excinfo.value.report.diagnostics
+        )
+        assert seen == []
 
     def test_parallel_backend_clean_job_passes(self):
-        sc = make_ctx(backend="parallel", workers=2)
-        out = sc.parallelize([3, 1, 2]).map(lambda x: x * 10).collect()
+        sc = make_ctx(num_executors=2)
+        out = sc.parallelize([3, 1, 2], 3).map(lambda x: x * 10).collect()
         assert out == [30, 10, 20]
         assert sc.metrics.get("closures_verified") >= 1
 

@@ -18,7 +18,12 @@ from repro.explain import EngineExplain, verify_conservation
 from repro.spark.context import SparkContext
 from repro.spark.faults import FaultScheduler
 from repro.sparql.parser import parse_sparql
-from repro.systems import ALL_ENGINE_CLASSES, NaiveEngine, SparqlgxEngine
+from repro.systems import (
+    ALL_ENGINE_CLASSES,
+    NaiveEngine,
+    S2RdfEngine,
+    SparqlgxEngine,
+)
 
 ENGINES = (NaiveEngine,) + ALL_ENGINE_CLASSES
 
@@ -28,6 +33,12 @@ CHAOS_SPEC = "fail:p=0.35;lose:p=0.4;straggle:p=0.15,delay=2;seed=%d"
 MAX_ATTEMPTS = 12
 
 STAR = LubmGenerator.query_star()
+
+#: Counters and shuffle-span attributes that depend on which virtual
+#: executor hosts each partition -- the only things a different worker
+#: count may change.
+PLACEMENT_COUNTERS = ("shuffle_remote_records", "broadcast_bytes")
+PLACEMENT_ATTRS = ("remote",)
 
 
 def engine_id(cls):
@@ -41,16 +52,24 @@ def canonical(solution_set):
     )
 
 
-def chaos_run(engine_class, graph, query_text, seed, trace=False):
+def chaos_run(
+    engine_class, graph, query_text, seed, trace=False, workers=None
+):
     """One engine execution under the seeded chaos schedule.
 
     Returns (canonical rows, marginal metrics delta, context).  Tracing,
     when requested, brackets only the query (not the load), and uses the
     traced driver path that caches operator outputs -- which is exactly
     what gives ``lose`` events cached partitions to evict.
+
+    ``workers`` spreads the partitions over that many virtual executors
+    (default: one per partition).  Fault decisions are pure functions of
+    (seed, kind, stage, partition, attempt), never of placement, so the
+    recovery counters must reconcile exactly across worker counts.
     """
     sc = SparkContext(
         4,
+        num_executors=workers,
         faults=FaultScheduler.from_spec(CHAOS_SPEC % seed),
         max_task_attempts=MAX_ATTEMPTS,
         speculation=True,
@@ -139,6 +158,103 @@ def test_conservation_holds_with_recovery_spans(lubm_graph):
     assert delta.tasks_failed > 0
     flat = {counter: value for counter, value in delta if value}
     assert "tasks_failed" in flat
+
+
+def algorithmic(delta):
+    """A metrics delta without its placement-dependent counters."""
+    return {
+        name: value
+        for name, value in delta
+        if name not in PLACEMENT_COUNTERS
+    }
+
+
+def normalize_placement(spans):
+    """Span dicts with placement-dependent metrics and attrs removed."""
+
+    def strip(data):
+        out = dict(data)
+        out["metrics"] = {
+            name: value
+            for name, value in data.get("metrics", {}).items()
+            if name not in PLACEMENT_COUNTERS
+        }
+        out["attrs"] = {
+            name: value
+            for name, value in data.get("attrs", {}).items()
+            if name not in PLACEMENT_ATTRS
+        }
+        out["children"] = [strip(child) for child in data.get("children", ())]
+        return out
+
+    return [strip(span.to_dict()) for span in spans]
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+@pytest.mark.parametrize("workers", [2, 4])
+def test_parallel_chaos_reconciles_with_inprocess(
+    lubm_graph, seed, workers
+):
+    # Same seed, same schedule: spreading the partitions over several
+    # workers must land on the exact answers and the exact recovery
+    # counters of a single-executor cluster (every partition in one
+    # process).
+    rows_single, delta_single, _sc = chaos_run(
+        SparqlgxEngine, lubm_graph, STAR, seed=seed, workers=1
+    )
+    rows_spread, delta_spread, _sc = chaos_run(
+        SparqlgxEngine, lubm_graph, STAR, seed=seed, workers=workers
+    )
+    assert rows_spread == rows_single
+    assert algorithmic(delta_spread) == algorithmic(delta_single)
+    # The reconciliation is not vacuous: the schedule actually bit.
+    assert delta_spread.tasks_failed > 0
+    assert delta_spread.tasks_retried == delta_spread.tasks_failed
+
+
+@pytest.mark.parametrize(
+    "engine_class", [NaiveEngine, S2RdfEngine], ids=engine_id
+)
+def test_parallel_chaos_traces_normalize_identically(
+    lubm_graph, engine_class
+):
+    # Placement changes which shuffle records are remote and what a
+    # broadcast costs, and nothing else: once those are stripped, the
+    # traced span trees are equal -- fault and retry spans included.
+    _rows, delta_one, sc_one = chaos_run(
+        engine_class, lubm_graph, STAR, seed=7, trace=True, workers=1
+    )
+    _rows, delta_two, sc_two = chaos_run(
+        engine_class, lubm_graph, STAR, seed=7, trace=True, workers=2
+    )
+    spans_one = normalize_placement(sc_one.tracer.roots)
+    spans_two = normalize_placement(sc_two.tracer.roots)
+    assert spans_two == spans_one
+    assert algorithmic(delta_two) == algorithmic(delta_one)
+
+    kinds = set()
+
+    def walk(span):
+        kinds.add(span["kind"])
+        for child in span.get("children", ()):
+            walk(child)
+
+    for span in spans_two:
+        walk(span)
+    assert "fault" in kinds and "retry" in kinds
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("engine_class", ENGINES, ids=engine_id)
+def test_parallel_chaos_preserves_answers_on_every_engine(
+    engine_class, lubm_graph, fault_free_star
+):
+    rows, delta, _sc = chaos_run(
+        engine_class, lubm_graph, STAR, seed=7, workers=2
+    )
+    assert rows == fault_free_star
+    assert delta.tasks_failed > 0
+    assert delta.tasks_retried == delta.tasks_failed
 
 
 def test_partition_loss_recovery_fires_under_traced_chaos(lubm_graph):
